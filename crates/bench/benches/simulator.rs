@@ -4,10 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use overlap_core::{fuse, FusionOptions, OverlapOptions, OverlapPipeline};
 use overlap_models::{Arch, ModelConfig, PartitionStrategy};
-use overlap_sim::{
-    simulate, simulate_order, simulate_order_repeated, simulate_order_repeated_with,
-    simulate_order_with, CostTable,
-};
+use overlap_sim::{CostTable, Simulation};
 
 fn layer_config(chips: usize) -> ModelConfig {
     ModelConfig {
@@ -30,35 +27,27 @@ fn simulator(c: &mut Criterion) {
         let module = cfg.layer_module();
         let machine = cfg.machine();
         c.bench_function(&format!("simulate_baseline/{chips}chips"), |b| {
-            b.iter(|| simulate(&module, &machine).expect("simulate"))
+            b.iter(|| Simulation::new(&module, &machine).run().expect("simulate"))
         });
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&module, &machine)
             .expect("pipeline");
+        // No `.table(..)`: each run re-derives the cost table.
+        let fresh = Simulation::new(&compiled.module, &machine).order(&compiled.order);
         c.bench_function(&format!("simulate_overlapped/{chips}chips"), |b| {
-            b.iter(|| {
-                simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate")
-            })
+            b.iter(|| fresh.run().expect("simulate"))
         });
         // The same schedule through the precomputed cost table: per-run
         // work shrinks to the event loop itself.
         c.bench_function(&format!("simulate_cached_table/{chips}chips"), |b| {
-            b.iter(|| {
-                simulate_order_with(
-                    &compiled.cost_table,
-                    &compiled.module,
-                    &machine,
-                    &compiled.order,
-                )
-                .expect("simulate")
-            })
+            b.iter(|| compiled.simulation(&machine).run().expect("simulate"))
         });
     }
 }
 
-/// Repeated-execution path: `simulate_order_repeated` rebuilds the cost
-/// table once per call, `simulate_order_repeated_with` not at all. The
-/// old engine re-derived every instruction cost on every repetition.
+/// Repeated-execution path: without `.table(..)` the cost table is
+/// rebuilt once per call, with it not at all. The old engine re-derived
+/// every instruction cost on every repetition.
 fn repeated(c: &mut Criterion) {
     let cfg = layer_config(16);
     let module = cfg.layer_module();
@@ -67,18 +56,12 @@ fn repeated(c: &mut Criterion) {
         .run(&module, &machine)
         .expect("pipeline");
     const REPS: usize = 64;
+    let fresh = Simulation::new(&compiled.module, &machine).order(&compiled.order);
     c.bench_function("simulate_repeated/64reps", |b| {
-        b.iter(|| {
-            simulate_order_repeated(&compiled.module, &machine, &compiled.order, REPS)
-                .expect("simulate")
-        })
+        b.iter(|| fresh.repeated(REPS).expect("simulate"))
     });
-    let table = CostTable::new(&compiled.module, &machine).expect("cost table");
     c.bench_function("simulate_repeated_cached_table/64reps", |b| {
-        b.iter(|| {
-            simulate_order_repeated_with(&table, &compiled.module, &machine, &compiled.order, REPS)
-                .expect("simulate")
-        })
+        b.iter(|| compiled.simulation(&machine).repeated(REPS).expect("simulate"))
     });
     c.bench_function("cost_table_build/layer16", |b| {
         b.iter(|| CostTable::new(&compiled.module, &machine).expect("cost table"))
@@ -102,11 +85,11 @@ fn fusion_ablation(c: &mut Criterion) {
     .expect("pipeline");
     for (name, aware) in [("overlap_aware", true), ("default", false)] {
         let fused = fuse(&compiled.module, &FusionOptions { overlap_aware: aware });
-        let report =
-            simulate_order(&fused, &machine, &compiled.order).expect("simulate");
+        let sim = Simulation::new(&fused, &machine).order(&compiled.order);
+        let report = sim.run().expect("simulate");
         println!("fig11 fusion {name}: simulated makespan {:.4e}s", report.makespan());
         c.bench_function(&format!("fig11_fusion/{name}"), |b| {
-            b.iter(|| simulate_order(&fused, &machine, &compiled.order).expect("simulate"))
+            b.iter(|| sim.run().expect("simulate"))
         });
     }
 }

@@ -1,7 +1,7 @@
 //! Diagnostic: per-model breakdown for calibration.
 use overlap_core::{OverlapOptions, OverlapPipeline};
 use overlap_models::{find_model, model_names};
-use overlap_sim::{simulate, simulate_order};
+use overlap_sim::Simulation;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "GPT_32B".into());
@@ -12,7 +12,7 @@ fn main() {
     let module = cfg.layer_module();
     let machine = cfg.machine();
     println!("mesh {:?} instrs {} tokens/replica {}", machine.mesh().shape(), module.len(), cfg.tokens_per_replica());
-    let base = match simulate(&module, &machine) {
+    let base = match Simulation::new(&module, &machine).run() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot simulate the baseline of {}: {e}", cfg.name);
@@ -34,7 +34,7 @@ fn main() {
         println!("  comp {:.3e} comm {:.3e} ring {:.3e} extra {:.3e} beneficial {}",
             d.comp_t, d.comm_t, d.comm_t_ring, d.extra_t, d.beneficial);
     }
-    let r = match simulate_order(&compiled.module, &machine, &compiled.order) {
+    let r = match compiled.simulation(&machine).run() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot simulate the overlapped schedule of {}: {e}", cfg.name);

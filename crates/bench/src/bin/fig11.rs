@@ -14,7 +14,7 @@ use overlap_core::{fuse, schedule_bottom_up, FusionOptions};
 use overlap_hlo::{Builder, DType, DotDims, Module, Shape};
 use overlap_mesh::{DeviceMesh, Machine};
 use overlap_json::{Json, ToJson};
-use overlap_sim::simulate_order;
+use overlap_sim::Simulation;
 
 /// The Fig. 11 graph at a given matmul width.
 fn fig11_module(dim: usize) -> Module {
@@ -59,8 +59,8 @@ fn main() {
         let time_with = |aware: bool| {
             let fused = fuse(&module, &FusionOptions { overlap_aware: aware });
             let order = schedule_bottom_up(&fused, &machine);
-            or_exit(simulate_order(&fused, &machine, &order), "simulate the fused graph")
-                .makespan()
+            let sim = Simulation::new(&fused, &machine).order(&order);
+            or_exit(sim.run(), "simulate the fused graph").makespan()
         };
         let bad = time_with(false);
         let good = time_with(true);

@@ -1,7 +1,7 @@
 //! Figure 12: normalized FLOPS utilization of the six Table-1 models,
 //! baseline vs. overlapped.
 
-use overlap_bench::{artifact_cache, bar, report_cache, run_comparisons_cached, write_json};
+use overlap_bench::{artifact_cache, bar, report_cache, run_comparisons, write_json};
 use overlap_models::table1_models;
 
 fn main() {
@@ -11,7 +11,7 @@ fn main() {
         "{:<14} {:>6} {:>10} {:>10} {:>8}  utilization",
         "model", "chips", "base", "overlap", "speedup"
     );
-    let rows = run_comparisons_cached(&table1_models(), artifact_cache());
+    let rows = run_comparisons(&table1_models(), artifact_cache());
     for c in &rows {
         println!(
             "{:<14} {:>6} {:>9.1}% {:>9.1}% {:>7.2}x  |{}|",

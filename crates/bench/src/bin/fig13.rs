@@ -1,7 +1,7 @@
 //! Figure 13: weak-scaling study — the GPT family of Table 2 (32B … 1T
 //! parameters on 64 … 2048 chips), baseline vs. overlapped.
 
-use overlap_bench::{artifact_cache, bar, report_cache, run_comparisons_cached, write_json};
+use overlap_bench::{artifact_cache, bar, report_cache, run_comparisons, write_json};
 use overlap_models::table2_models;
 
 fn main() {
@@ -11,7 +11,7 @@ fn main() {
         "{:<10} {:>6} {:>10} {:>10} {:>8}  utilization",
         "model", "chips", "base", "overlap", "speedup"
     );
-    let rows = run_comparisons_cached(&table2_models(), artifact_cache());
+    let rows = run_comparisons(&table2_models(), artifact_cache());
     for c in &rows {
         println!(
             "{:<10} {:>6} {:>9.1}% {:>9.1}% {:>7.2}x  |{}|",

@@ -4,7 +4,7 @@
 //! Series: per-step execution time normalized to the baseline, with the
 //! overlap pipeline running *without* and *with* loop unrolling.
 
-use overlap_bench::{artifact_cache, report_cache, run_baseline, run_overlapped_cached, write_json};
+use overlap_bench::{artifact_cache, report_cache, run_baseline, run_overlapped, write_json};
 use overlap_core::{OverlapOptions, StrategySpec};
 use overlap_json::{Json, ToJson};
 use overlap_models::table2_models;
@@ -30,15 +30,16 @@ fn main() {
     println!("{:<10} {:>12} {:>12} {:>12}", "model", "no-unroll", "unrolled", "gain");
     let mut rows = Vec::new();
     for cfg in table2_models() {
-        let base = run_baseline(&cfg).step_time;
-        let no_unroll = run_overlapped_cached(
+        let base = run_baseline(&cfg, None).step_time;
+        let no_unroll = run_overlapped(
             &cfg,
             OverlapOptions::with_strategy(StrategySpec::paper_default().with_unroll(false)),
+            None,
             artifact_cache(),
         )
         .step_time;
         let unrolled =
-            run_overlapped_cached(&cfg, OverlapOptions::paper_default(), artifact_cache())
+            run_overlapped(&cfg, OverlapOptions::paper_default(), None, artifact_cache())
                 .step_time;
         let row = Row {
             model: cfg.name.clone(),

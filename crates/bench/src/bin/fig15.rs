@@ -6,7 +6,7 @@
 //! unidirectional transfer); larger models benefit more.
 
 use overlap_bench::{run_baseline, run_overlapped, write_json};
-use overlap_core::{OverlapOptions, RingDirection, StrategySpec};
+use overlap_core::{ArtifactCache, OverlapOptions, RingDirection, StrategySpec};
 use overlap_json::{Json, ToJson};
 use overlap_models::table2_models;
 
@@ -30,16 +30,19 @@ fn main() {
     println!("(normalized step time, baseline = 1.0; lower is better)\n");
     println!("{:<10} {:>15} {:>15} {:>10}", "model", "unidirectional", "bidirectional", "gain");
     let mut rows = Vec::new();
+    let cache = ArtifactCache::disabled();
     for cfg in table2_models() {
-        let base = run_baseline(&cfg).step_time;
+        let base = run_baseline(&cfg, None).step_time;
         let uni = run_overlapped(
             &cfg,
             OverlapOptions::with_strategy(
                 StrategySpec::paper_default().with_ring(RingDirection::Unidirectional),
             ),
+            None,
+            &cache,
         )
         .step_time;
-        let bidi = run_overlapped(&cfg, OverlapOptions::paper_default()).step_time;
+        let bidi = run_overlapped(&cfg, OverlapOptions::paper_default(), None, &cache).step_time;
         let row = Row {
             model: cfg.name.clone(),
             normalized_unidirectional: uni / base,

@@ -5,7 +5,7 @@
 //! used for the overall evaluation.
 
 use overlap_bench::{run_overlapped, write_json};
-use overlap_core::{OverlapOptions, SchedulerKind};
+use overlap_core::{ArtifactCache, OverlapOptions, SchedulerKind};
 use overlap_json::{Json, ToJson};
 use overlap_models::table2_models;
 
@@ -31,6 +31,7 @@ fn main() {
     println!("(per-step time in seconds; paper: bottom-up ~5% faster on average)\n");
     println!("{:<10} {:>12} {:>12} {:>10}", "model", "top-down", "bottom-up", "speedup");
     let mut rows = Vec::new();
+    let cache = ArtifactCache::disabled();
     for cfg in table2_models() {
         let td = run_overlapped(
             &cfg,
@@ -38,9 +39,11 @@ fn main() {
                 scheduler: SchedulerKind::TopDown,
                 ..OverlapOptions::paper_default()
             },
+            None,
+            &cache,
         )
         .step_time;
-        let bu = run_overlapped(&cfg, OverlapOptions::paper_default()).step_time;
+        let bu = run_overlapped(&cfg, OverlapOptions::paper_default(), None, &cache).step_time;
         let row = Row {
             model: cfg.name.clone(),
             top_down: td,

@@ -21,8 +21,9 @@
 //! mode => byte-identical stdout and `results/fig_faults.json`.
 
 use overlap_bench::{
-    artifact_cache, report_cache, run_comparison_faulted_cached, write_json, FaultedComparison,
+    artifact_cache, report_cache, run_fault_comparison, write_json, FaultedComparison,
 };
+use overlap_core::OverlapOptions;
 use overlap_json::{Json, ToJson};
 use overlap_mesh::FaultSpec;
 use overlap_models::{table1_models, Arch, ModelConfig, PartitionStrategy};
@@ -108,7 +109,7 @@ fn main() {
             let row = Row {
                 knob: "severity",
                 value: severity,
-                cmp: run_comparison_faulted_cached(cfg, &spec, cache),
+                cmp: run_fault_comparison(cfg, OverlapOptions::paper_default(), &spec, cache),
             };
             print_row(&row);
             straggler_rows.push(row);
@@ -122,7 +123,7 @@ fn main() {
             let row = Row {
                 knob: "fraction",
                 value: fraction,
-                cmp: run_comparison_faulted_cached(cfg, &spec, cache),
+                cmp: run_fault_comparison(cfg, OverlapOptions::paper_default(), &spec, cache),
             };
             print_row(&row);
             link_rows.push(row);

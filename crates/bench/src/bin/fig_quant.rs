@@ -23,8 +23,7 @@
 //! mode => byte-identical stdout and `results/fig_quant.json`.
 
 use overlap_bench::{
-    artifact_cache, report_cache, run_comparison_options_faulted_cached, write_json,
-    FaultedComparison,
+    artifact_cache, report_cache, run_fault_comparison, write_json, FaultedComparison,
 };
 use overlap_core::{OverlapOptions, StrategySpec};
 use overlap_hlo::{Module, Op, WireFormat};
@@ -161,12 +160,7 @@ fn main() {
                     machine,
                     wire: wire.describe(),
                     predicted_rel_error_bound: predicted_error_bound(&module, wire, budget),
-                    cmp: run_comparison_options_faulted_cached(
-                        cfg,
-                        options_for(wire),
-                        spec,
-                        cache,
-                    ),
+                    cmp: run_fault_comparison(cfg, options_for(wire), spec, cache),
                 };
                 print_row(&row);
                 rows.push(row);

@@ -4,7 +4,7 @@
 //! module (`ModelConfig::window_module(4)`: forward stages `L0..L3`,
 //! backward stages `L4..L7`), compiles it once per scheduling-window
 //! width under a seeded network-straggler [`FaultSpec`], and runs the
-//! distributional simulator (`simulate_order_tail_with`) to get exact
+//! distributional simulator (`Simulation::tail`) to get exact
 //! p50/p90/p99 makespans over repeated independent fault draws.
 //!
 //! The straggler here is a *network* straggler: a fixed fraction of the
@@ -35,7 +35,7 @@ use overlap_core::{OverlapOptions, OverlapPipeline, StrategySpec};
 use overlap_json::{Json, ToJson};
 use overlap_mesh::FaultSpec;
 use overlap_models::{table1_models, Arch, ModelConfig, PartitionStrategy};
-use overlap_sim::{simulate_order_tail, simulate_order_tail_with, TailSummary};
+use overlap_sim::{Simulation, TailSummary};
 
 /// Layers stacked into one scheduling scope (8 stages: 4 fwd + 4 bwd).
 const DEPTH: usize = 4;
@@ -158,7 +158,7 @@ fn main() {
                 .with_jitter(JITTER_SECONDS)
                 .with_dma_stalls(STALL_PROBABILITY, STALL_BACKOFF_SECONDS, STALL_RETRIES);
             let baseline = TailSummary::from_samples(&overlap_bench::or_exit(
-                simulate_order_tail(&module, &machine, &module.arena_order(), &spec, draws),
+                Simulation::new(&module, &machine).faults(Some(&spec)).tail(draws),
                 "baseline tail simulation",
             ));
             for &window in &WINDOWS {
@@ -172,14 +172,7 @@ fn main() {
                     "windowed pipeline",
                 );
                 let samples = overlap_bench::or_exit(
-                    simulate_order_tail_with(
-                        &compiled.cost_table,
-                        &compiled.module,
-                        &machine,
-                        &compiled.order,
-                        &spec,
-                        draws,
-                    ),
+                    compiled.simulation(&machine).faults(Some(&spec)).tail(draws),
                     "windowed tail simulation",
                 );
                 let row = Row {

@@ -32,7 +32,7 @@ use overlap_hlo::{Builder, DType, DotDims, Module, Op, ReplicaGroups, Shape, Wir
 use overlap_json::{Json, ToJson};
 use overlap_models::{find_model, model_names};
 use overlap_numerics::{run_spmd, Literal};
-use overlap_sim::{simulate, simulate_order};
+use overlap_sim::Simulation;
 
 struct Row {
     einsum: String,
@@ -189,7 +189,7 @@ fn main() {
     };
     let module = cfg.layer_module();
     let machine = cfg.machine();
-    let baseline = match simulate(&module, &machine) {
+    let baseline = match Simulation::new(&module, &machine).run() {
         Ok(r) => r.makespan(),
         Err(e) => {
             eprintln!("cannot simulate the baseline of {}: {e}", cfg.name);
@@ -215,7 +215,7 @@ fn main() {
         let (out, _) = decompose_each(&module, &[(d.pattern, opts)]);
         let fused = fuse(&asyncify(&out), &FusionOptions::default());
         let order = schedule_bottom_up(&fused, &machine);
-        let measured = match simulate_order(&fused, &machine, &order) {
+        let measured = match Simulation::new(&fused, &machine).order(&order).run() {
             Ok(r) => baseline - r.makespan(),
             Err(e) => {
                 eprintln!("cannot simulate the single-pattern rewrite: {e}");

@@ -13,7 +13,7 @@ use overlap_core::{OverlapOptions, OverlapPipeline};
 use overlap_hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap_json::Json;
 use overlap_mesh::{DeviceMesh, Machine};
-use overlap_sim::{simulate, simulate_order};
+use overlap_sim::Simulation;
 
 /// A recommendation-style MLP tower: small batch (one request slice),
 /// wide layers, weights 2-way sharded and gathered per layer.
@@ -37,16 +37,14 @@ fn main() {
     let machine = Machine::with_mesh(DeviceMesh::ring(n));
     let module = recommendation_tower(n, 1376, 8192, 8);
 
-    let baseline = or_exit(simulate(&module, &machine), "simulate the baseline");
+    let baseline = or_exit(Simulation::new(&module, &machine).run(), "simulate the baseline");
     let compiled = or_exit(
         OverlapPipeline::new(OverlapOptions::paper_default())
             .compile_cached(&module, &machine, artifact_cache()),
         "compile the inference tower",
     );
-    let overlapped = or_exit(
-        simulate_order(&compiled.module, &machine, &compiled.order),
-        "simulate the overlapped schedule",
-    );
+    let overlapped =
+        or_exit(compiled.simulation(&machine).run(), "simulate the overlapped schedule");
 
     println!("layers decomposed:  {:>7} of 8", compiled.summaries.len());
     println!("baseline latency:   {:>10.3} ms", baseline.makespan() * 1e3);

@@ -21,8 +21,7 @@
 //! JSON, which stays byte-identical across identically-seeded runs.
 
 use overlap_bench::{
-    artifact_cache, par_map, report_cache, run_baseline, run_baseline_faulted,
-    run_overlapped_cached, run_overlapped_faulted_cached, strategy_grid, write_json,
+    artifact_cache, par_map, report_cache, run_baseline, run_overlapped, strategy_grid, write_json,
 };
 use overlap_core::OverlapOptions;
 use overlap_json::{Json, ToJson};
@@ -95,24 +94,12 @@ fn smoke_config() -> ModelConfig {
 /// description so identically-timed candidates order deterministically).
 fn tune(cfg: &ModelConfig, spec: Option<&FaultSpec>, options: &[OverlapOptions]) -> Board {
     let cache = artifact_cache();
-    let baseline = match spec {
-        Some(s) => run_baseline_faulted(cfg, s),
-        None => run_baseline(cfg),
-    }
-    .step_time;
-    let paper_default = match spec {
-        Some(s) => {
-            run_overlapped_faulted_cached(cfg, OverlapOptions::paper_default(), s, cache)
-        }
-        None => run_overlapped_cached(cfg, OverlapOptions::paper_default(), cache),
-    }
-    .step_time;
-    let mut entries: Vec<Entry> = par_map(options, |&o| {
-        let stats = match spec {
-            Some(s) => run_overlapped_faulted_cached(cfg, o, s, cache),
-            None => run_overlapped_cached(cfg, o, cache),
-        };
-        Entry { options: o, step_time: stats.step_time }
+    let baseline = run_baseline(cfg, spec).step_time;
+    let paper_default =
+        run_overlapped(cfg, OverlapOptions::paper_default(), spec, cache).step_time;
+    let mut entries: Vec<Entry> = par_map(options, |&o| Entry {
+        options: o,
+        step_time: run_overlapped(cfg, o, spec, cache).step_time,
     });
     entries.sort_by(|a, b| {
         a.step_time

@@ -31,7 +31,7 @@ use overlap_core::{ArtifactCache, CompileReport, OverlapOptions, OverlapPipeline
 use overlap_hlo::{to_dot, Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap_json::{FromJson, Json, ToJson};
 use overlap_mesh::{FaultSpec, Machine};
-use overlap_sim::{simulate, simulate_faulted, simulate_order, simulate_order_faulted};
+use overlap_sim::Simulation;
 
 fn demo_module() -> Module {
     let n = 8;
@@ -200,30 +200,13 @@ fn main() {
                 .unwrap_or_else(|e| fail(format!("cannot compile {path}: {e}")));
             println!("{}", CompileReport::new(&module, &compiled, &machine));
 
-            let sim = |r: Result<overlap_sim::Report, overlap_sim::SimError>, what: &str| {
-                r.unwrap_or_else(|e| fail(format!("cannot simulate the {what}: {e}")))
+            let run = |sim: Simulation<'_>, what: &str| {
+                sim.faults(faults.as_ref())
+                    .run()
+                    .unwrap_or_else(|e| fail(format!("cannot simulate the {what}: {e}")))
             };
-            let (baseline, over) = match &faults {
-                Some(spec) => (
-                    sim(simulate_faulted(&module, &machine, spec), "faulted baseline"),
-                    sim(
-                        simulate_order_faulted(
-                            &compiled.module,
-                            &machine,
-                            &compiled.order,
-                            spec,
-                        ),
-                        "faulted overlapped schedule",
-                    ),
-                ),
-                None => (
-                    sim(simulate(&module, &machine), "baseline"),
-                    sim(
-                        simulate_order(&compiled.module, &machine, &compiled.order),
-                        "overlapped schedule",
-                    ),
-                ),
-            };
+            let baseline = run(Simulation::new(&module, &machine), "baseline");
+            let over = run(compiled.simulation(&machine), "overlapped schedule");
             println!(
                 "\nbaseline {:.3} ms -> overlapped {:.3} ms ({:.2}x)",
                 baseline.makespan() * 1e3,

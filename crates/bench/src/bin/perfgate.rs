@@ -19,8 +19,8 @@
 use std::time::Instant;
 
 use overlap_bench::{
-    par_map, run_comparison, run_comparison_options_faulted_cached, run_comparisons,
-    run_overlapped_cached, strategy_grid, sweep_threads, write_json,
+    par_map, run_comparison, run_comparisons, run_fault_comparison, run_overlapped, strategy_grid,
+    sweep_threads, write_json,
 };
 use overlap_core::{
     artifact_key, asyncify, decompose_each, find_patterns, fuse, schedule_bottom_up_with,
@@ -38,10 +38,7 @@ use overlap_serve::{
     Client, CompileRequest, FleetHarness, HashRing, Histogram, MachineSpec, ModelRef, Request,
     Response, ServeConfig, Server, DEFAULT_VNODES,
 };
-use overlap_sim::{
-    simulate_faulted, simulate_order, simulate_order_faulted_with, simulate_order_repeated_with,
-    CostTable,
-};
+use overlap_sim::{CostTable, Simulation};
 
 /// Wall-clock noise tolerance for the compile-throughput gate: fail only
 /// when the measured per-compile time exceeds `baseline * TOLERANCE`.
@@ -134,8 +131,10 @@ fn fault_smoke(cfg: &ModelConfig) -> (FaultSmoke, bool) {
     let module = cfg.layer_module();
     let machine = cfg.machine();
 
-    let pristine = overlap_sim::simulate(&module, &machine).expect("pristine simulation");
-    let noop = simulate_faulted(&module, &machine, &FaultSpec::default())
+    let pristine = Simulation::new(&module, &machine).run().expect("pristine simulation");
+    let noop = Simulation::new(&module, &machine)
+        .faults(Some(&FaultSpec::default()))
+        .run()
         .expect("noop faulted simulation");
     let noop_identical = pristine == noop;
 
@@ -153,9 +152,7 @@ fn fault_smoke(cfg: &ModelConfig) -> (FaultSmoke, bool) {
     let b = compile();
     let deterministic = a.order == b.order && a.fallbacks == b.fallbacks;
 
-    let report =
-        simulate_order_faulted_with(&a.cost_table, &a.module, &machine, &a.order, &spec)
-            .expect("faulted simulation");
+    let report = a.simulation(&machine).faults(Some(&spec)).run().expect("faulted simulation");
     let record = FaultSmoke {
         faulted_makespan: report.makespan(),
         fallbacks: a.fallbacks.len() as u64,
@@ -206,8 +203,8 @@ fn autotune_bench(cfg: &ModelConfig) -> (AutotuneBench, bool) {
     let (options, pruned, _total) = strategy_grid();
     let cache = ArtifactCache::in_memory();
     let t = Instant::now();
-    let paper = run_overlapped_cached(cfg, OverlapOptions::paper_default(), &cache).step_time;
-    let times = par_map(&options, |&o| run_overlapped_cached(cfg, o, &cache).step_time);
+    let paper = run_overlapped(cfg, OverlapOptions::paper_default(), None, &cache).step_time;
+    let times = par_map(&options, |&o| run_overlapped(cfg, o, None, &cache).step_time);
     let search_seconds = t.elapsed().as_secs_f64();
     let best = times.iter().copied().fold(f64::INFINITY, f64::min);
     let record = AutotuneBench {
@@ -287,15 +284,11 @@ fn tail_bench() -> (TailBench, bool) {
             .with_faults(spec.clone())
             .run(&module, &machine)
             .expect("windowed compile");
-        let samples = overlap_sim::simulate_order_tail_with(
-            &compiled.cost_table,
-            &compiled.module,
-            &machine,
-            &compiled.order,
-            &spec,
-            TAIL_DRAWS,
-        )
-        .expect("tail draws");
+        let samples = compiled
+            .simulation(&machine)
+            .faults(Some(&spec))
+            .tail(TAIL_DRAWS)
+            .expect("tail draws");
         overlap_sim::TailSummary::from_samples(&samples).p99
     };
     let p99_window1 = p99_of(1);
@@ -372,13 +365,8 @@ fn quant_bench(cfg: &ModelConfig) -> (QuantBench, bool) {
 
     let spec = FaultSpec::seeded(7).with_derated_link_fraction(machine.mesh(), 0.5, 0.5);
     let cache = ArtifactCache::in_memory();
-    let base = run_comparison_options_faulted_cached(
-        cfg,
-        OverlapOptions::paper_default(),
-        &spec,
-        &cache,
-    );
-    let quant = run_comparison_options_faulted_cached(
+    let base = run_fault_comparison(cfg, OverlapOptions::paper_default(), &spec, &cache);
+    let quant = run_fault_comparison(
         cfg,
         OverlapOptions {
             error_budget: Some(QUANT_ERROR_BUDGET),
@@ -800,8 +788,8 @@ fn fleet_bench() -> (FleetBench, bool) {
 struct PerfRecord {
     reps: usize,
     /// Repeated simulation rebuilding every instruction cost per run
-    /// (the pre-cost-table behavior, emulated by calling
-    /// `simulate_order` in a loop).
+    /// (the pre-cost-table behavior, emulated by running a table-less
+    /// `Simulation` in a loop).
     sim_fresh_seconds: f64,
     /// The same repetitions through one precomputed [`CostTable`].
     sim_cached_seconds: f64,
@@ -1039,24 +1027,25 @@ fn main() {
         .expect("pipeline");
 
     let t = Instant::now();
+    // No `.table(..)`: every run re-derives the cost table.
+    let fresh = Simulation::new(&compiled.module, &machine).order(&compiled.order);
     for _ in 0..reps {
-        simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+        fresh.run().expect("simulate");
     }
     let sim_fresh_seconds = t.elapsed().as_secs_f64();
 
-    let table = CostTable::new(&compiled.module, &machine).expect("cost table");
     let t = Instant::now();
-    simulate_order_repeated_with(&table, &compiled.module, &machine, &compiled.order, reps)
-        .expect("simulate");
+    compiled.simulation(&machine).repeated(reps).expect("simulate");
     let sim_cached_seconds = t.elapsed().as_secs_f64();
 
     // Sweep timing: the six Table-1 models, serial then parallel.
     let models = table1_models();
     let t = Instant::now();
-    let serial: Vec<_> = models.iter().map(run_comparison).collect();
+    let uncached = ArtifactCache::disabled();
+    let serial: Vec<_> = models.iter().map(|cfg| run_comparison(cfg, &uncached)).collect();
     let sweep_serial_seconds = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let parallel = run_comparisons(&models);
+    let parallel = run_comparisons(&models, &uncached);
     let sweep_parallel_seconds = t.elapsed().as_secs_f64();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {

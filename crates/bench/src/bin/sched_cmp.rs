@@ -2,7 +2,6 @@
 use overlap_bench::{artifact_cache, report_cache};
 use overlap_core::{OverlapOptions, OverlapPipeline, SchedulerKind};
 use overlap_models::{find_model, model_names};
-use overlap_sim::simulate_order;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "GPT_512B".into());
@@ -23,7 +22,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let r = match simulate_order(&c.module, &machine, &c.order) {
+        let r = match c.simulation(&machine).run() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cannot simulate {} with {sched:?}: {e}", cfg.name);

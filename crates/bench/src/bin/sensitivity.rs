@@ -14,7 +14,7 @@ use overlap_core::{OverlapOptions, OverlapPipeline};
 use overlap_json::{Json, ToJson};
 use overlap_mesh::Machine;
 use overlap_models::find_model;
-use overlap_sim::{simulate, simulate_order_with};
+use overlap_sim::Simulation;
 
 struct Row {
     bandwidth_gbps: f64,
@@ -47,7 +47,7 @@ fn main() {
     let sweep = [180.0, 90.0, 45.0, 22.5, 11.25, 5.6];
     let rows = par_map(&sweep, |&gbps| {
         let machine = cfg.machine().with_link_bandwidth(gbps * 1e9);
-        let baseline = or_exit(simulate(&module, &machine), "simulate the baseline");
+        let baseline = or_exit(Simulation::new(&module, &machine).run(), "simulate the baseline");
         // Each bandwidth point is a distinct machine fingerprint (a cold
         // compile), but re-runs of the sweep hit the disk tier.
         let compiled = or_exit(
@@ -55,10 +55,7 @@ fn main() {
                 .compile_cached(&module, &machine, artifact_cache()),
             "compile the sweep point",
         );
-        let over = or_exit(
-            simulate_order_with(&compiled.cost_table, &compiled.module, &machine, &compiled.order),
-            "simulate the overlapped schedule",
-        );
+        let over = or_exit(compiled.simulation(&machine).run(), "simulate the overlapped schedule");
         Row {
             bandwidth_gbps: gbps,
             baseline_comm_fraction: baseline.comm_fraction(),
@@ -83,16 +80,13 @@ fn main() {
 
     // §7.2 also claims the idea carries to NVLink-class GPU clusters.
     let gpu = Machine::gpu_cluster_like(cfg.chips);
-    let baseline = or_exit(simulate(&module, &gpu), "simulate the GPU baseline");
+    let baseline = or_exit(Simulation::new(&module, &gpu).run(), "simulate the GPU baseline");
     let compiled = or_exit(
         OverlapPipeline::new(OverlapOptions::paper_default())
             .compile_cached(&module, &gpu, artifact_cache()),
         "compile for the GPU cluster",
     );
-    let over = or_exit(
-        simulate_order_with(&compiled.cost_table, &compiled.module, &gpu, &compiled.order),
-        "simulate the GPU overlapped schedule",
-    );
+    let over = or_exit(compiled.simulation(&gpu).run(), "simulate the GPU overlapped schedule");
     println!(
         "\nGPU-cluster preset ({} chips): baseline comm {:.1}%, speedup {:.2}x",
         cfg.chips,

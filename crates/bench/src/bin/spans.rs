@@ -7,7 +7,6 @@
 
 use overlap_core::{OverlapOptions, OverlapPipeline};
 use overlap_models::{find_model, model_names};
-use overlap_sim::simulate_order;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "GPT_32B".into());
@@ -30,7 +29,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let r = match simulate_order(&compiled.module, &machine, &compiled.order) {
+    let r = match compiled.simulation(&machine).run() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot simulate {}: {e}", cfg.name);

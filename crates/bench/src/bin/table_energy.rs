@@ -5,7 +5,7 @@
 //! collectives), the energy reduction equals the end-to-end time
 //! improvement: 1.14 - 1.38x in the paper.
 
-use overlap_bench::{artifact_cache, report_cache, run_comparison_cached, write_json};
+use overlap_bench::{artifact_cache, report_cache, run_comparison, write_json};
 use overlap_json::{Json, ToJson};
 use overlap_models::table1_models;
 
@@ -28,7 +28,7 @@ fn main() {
     println!("{:<14} {:>18}", "model", "energy reduction");
     let mut rows = Vec::new();
     for cfg in table1_models() {
-        let c = run_comparison_cached(&cfg, artifact_cache());
+        let c = run_comparison(&cfg, artifact_cache());
         let row = Row { model: cfg.name.clone(), energy_reduction: c.speedup() };
         println!("{:<14} {:>17.2}x", row.model, row.energy_reduction);
         rows.push(row);

@@ -12,15 +12,13 @@
 use std::sync::OnceLock;
 
 use overlap_core::{
-    ArtifactCache, FusionAggressiveness, OverlapOptions, OverlapPipeline, RingDirection,
+    ArtifactCache, Compiled, FusionAggressiveness, OverlapOptions, OverlapPipeline, RingDirection,
     SchedulerKind, StrategySpec,
 };
 use overlap_json::{Json, ToJson};
 use overlap_mesh::{FaultSpec, Machine};
 use overlap_models::ModelConfig;
-use overlap_sim::{
-    simulate, simulate_faulted, simulate_order_faulted_with, simulate_order_with, Report,
-};
+use overlap_sim::{Report, Simulation};
 
 /// Simulated per-step statistics for one configuration.
 #[derive(Debug, Clone)]
@@ -128,70 +126,73 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
     })
 }
 
-/// Simulates one model's step without the overlap pipeline.
+/// Simulates one model's step without the overlap pipeline, on the
+/// degraded machine described by `faults` when given.
 ///
 /// # Panics
 ///
 /// Panics if the layer module fails to build or simulate (the published
-/// configurations all succeed).
+/// configurations all succeed; the sweep specs in this crate are all
+/// routable and un-deadlocked).
 #[must_use]
-pub fn run_baseline(cfg: &ModelConfig) -> StepStats {
+pub fn run_baseline(cfg: &ModelConfig, faults: Option<&FaultSpec>) -> StepStats {
     let module = cfg.layer_module();
     let machine = cfg.machine();
-    let report = simulate(&module, &machine).expect("baseline simulation");
+    let report =
+        Simulation::new(&module, &machine).faults(faults).run().expect("baseline simulation");
     StepStats::from_report(cfg, &machine, &report)
 }
 
-/// Simulates one model's step with the overlap pipeline under `options`.
-///
-/// # Panics
-///
-/// Panics if compilation or simulation fails.
-#[must_use]
-pub fn run_overlapped(cfg: &ModelConfig, options: OverlapOptions) -> StepStats {
-    run_overlapped_cached(cfg, options, &overlap_core::ArtifactCache::disabled())
-}
-
-/// [`run_overlapped`] through an [`ArtifactCache`]: a repeated
-/// compilation of the same configuration — within a sweep, across
-/// drivers, or across process runs via `OVERLAP_CACHE_DIR` — is served
-/// from cache, bit-identical to the cold result.
-///
-/// # Panics
-///
-/// Panics if compilation or simulation fails.
-#[must_use]
-pub fn run_overlapped_cached(
+/// Compiles one model's layer under `options` through `cache` and
+/// simulates it. With `faults`, the compile runs under the spec
+/// (fault-adjusted gate, per-pattern fallbacks) and the simulation
+/// replays it.
+fn compile_and_simulate(
     cfg: &ModelConfig,
     options: OverlapOptions,
+    faults: Option<&FaultSpec>,
     cache: &ArtifactCache,
-) -> StepStats {
+) -> (Compiled, StepStats) {
     let module = cfg.layer_module();
     let machine = cfg.machine();
-    let compiled = OverlapPipeline::new(options)
-        .compile_cached(&module, &machine, cache)
-        .expect("pipeline");
-    // The pipeline already built the compiled module's cost table for its
-    // scheduler; reuse it instead of re-deriving every instruction cost.
-    let report =
-        simulate_order_with(&compiled.cost_table, &compiled.module, &machine, &compiled.order)
-            .expect("simulation");
-    StepStats::from_report(cfg, &machine, &report)
+    let mut pipeline = OverlapPipeline::new(options);
+    if let Some(spec) = faults {
+        pipeline = pipeline.with_faults(spec.clone());
+    }
+    let compiled = pipeline.compile_cached(&module, &machine, cache).expect("pipeline");
+    let report = compiled.simulation(&machine).faults(faults).run().expect("simulation");
+    let stats = StepStats::from_report(cfg, &machine, &report);
+    (compiled, stats)
 }
 
-/// Baseline-vs-overlapped comparison with the paper-default options.
+/// Simulates one model's step with the overlap pipeline under `options`,
+/// compiled for (and simulated on) the degraded machine described by
+/// `faults` when given. A repeated compilation of the same configuration
+/// — within a sweep, across drivers, or across process runs via
+/// `OVERLAP_CACHE_DIR` — is served from `cache`, bit-identical to the cold
+/// result; pass [`ArtifactCache::disabled`] to always compile.
+///
+/// # Panics
+///
+/// Panics if compilation or simulation fails.
 #[must_use]
-pub fn run_comparison(cfg: &ModelConfig) -> Comparison {
-    run_comparison_cached(cfg, &overlap_core::ArtifactCache::disabled())
+pub fn run_overlapped(
+    cfg: &ModelConfig,
+    options: OverlapOptions,
+    faults: Option<&FaultSpec>,
+    cache: &ArtifactCache,
+) -> StepStats {
+    compile_and_simulate(cfg, options, faults, cache).1
 }
 
-/// [`run_comparison`] with the overlapped compile served through `cache`
-/// (the baseline simulation is pure measurement and never cached).
+/// Baseline-vs-overlapped comparison with the paper-default options, the
+/// overlapped compile served through `cache` (the baseline simulation is
+/// pure measurement and never cached).
 #[must_use]
-pub fn run_comparison_cached(cfg: &ModelConfig, cache: &ArtifactCache) -> Comparison {
+pub fn run_comparison(cfg: &ModelConfig, cache: &ArtifactCache) -> Comparison {
     Comparison {
-        baseline: run_baseline(cfg),
-        overlapped: run_overlapped_cached(cfg, OverlapOptions::paper_default(), cache),
+        baseline: run_baseline(cfg, None),
+        overlapped: run_overlapped(cfg, OverlapOptions::paper_default(), None, cache),
     }
 }
 
@@ -225,53 +226,6 @@ impl ToJson for FaultedComparison {
             .with("decomposed", self.decomposed as u64)
             .with("fallbacks", self.fallbacks as u64)
     }
-}
-
-/// Simulates one model's step without the overlap pipeline on the
-/// degraded machine described by `spec`.
-///
-/// # Panics
-///
-/// Panics if the module fails to build or the faulted simulation errors
-/// (the sweep specs in this crate are all routable and un-deadlocked).
-#[must_use]
-pub fn run_baseline_faulted(cfg: &ModelConfig, spec: &FaultSpec) -> StepStats {
-    let module = cfg.layer_module();
-    let machine = cfg.machine();
-    let report = simulate_faulted(&module, &machine, spec).expect("faulted baseline simulation");
-    StepStats::from_report(cfg, &machine, &report)
-}
-
-/// [`run_overlapped_cached`] on a degraded machine: the compile runs
-/// under `spec` (fault-adjusted gate, per-pattern fallbacks) and the
-/// simulation replays the same spec. Used by the autotuner to score
-/// candidate strategies on faulted configurations.
-///
-/// # Panics
-///
-/// Panics if compilation or simulation fails.
-#[must_use]
-pub fn run_overlapped_faulted_cached(
-    cfg: &ModelConfig,
-    options: OverlapOptions,
-    spec: &FaultSpec,
-    cache: &ArtifactCache,
-) -> StepStats {
-    let module = cfg.layer_module();
-    let machine = cfg.machine();
-    let compiled = OverlapPipeline::new(options)
-        .with_faults(spec.clone())
-        .compile_cached(&module, &machine, cache)
-        .expect("faulted pipeline");
-    let report = simulate_order_faulted_with(
-        &compiled.cost_table,
-        &compiled.module,
-        &machine,
-        &compiled.order,
-        spec,
-    )
-    .expect("faulted simulation");
-    StepStats::from_report(cfg, &machine, &report)
 }
 
 /// Chunk widths the autotuner grid tries for the unidirectional
@@ -333,52 +287,24 @@ pub fn strategy_grid() -> (Vec<OverlapOptions>, usize, usize) {
 /// itself runs under `spec` (so the fault-adjusted §5.5 gate can fall
 /// back per pattern) and both sides simulate under the same spec.
 /// Artifacts key on the spec's fingerprint, so sweeps over many specs
-/// coexist in one `cache`.
+/// coexist in one `cache`. The precision sweeps pass different wire
+/// strategies as `options` against the same degraded machine and compare
+/// each against the shared lossless synchronous baseline.
 ///
 /// # Panics
 ///
 /// Panics if compilation or either simulation fails.
 #[must_use]
-pub fn run_comparison_faulted_cached(
-    cfg: &ModelConfig,
-    spec: &FaultSpec,
-    cache: &ArtifactCache,
-) -> FaultedComparison {
-    run_comparison_options_faulted_cached(cfg, OverlapOptions::paper_default(), spec, cache)
-}
-
-/// [`run_comparison_faulted_cached`] under explicit pipeline options: the
-/// precision sweeps compile the same model with different wire strategies
-/// against the same degraded machine and compare each against the shared
-/// lossless synchronous baseline.
-///
-/// # Panics
-///
-/// Panics if compilation or either simulation fails.
-#[must_use]
-pub fn run_comparison_options_faulted_cached(
+pub fn run_fault_comparison(
     cfg: &ModelConfig,
     options: OverlapOptions,
     spec: &FaultSpec,
     cache: &ArtifactCache,
 ) -> FaultedComparison {
-    let module = cfg.layer_module();
-    let machine = cfg.machine();
-    let compiled = OverlapPipeline::new(options)
-        .with_faults(spec.clone())
-        .compile_cached(&module, &machine, cache)
-        .expect("faulted pipeline");
-    let report = simulate_order_faulted_with(
-        &compiled.cost_table,
-        &compiled.module,
-        &machine,
-        &compiled.order,
-        spec,
-    )
-    .expect("faulted simulation");
+    let (compiled, overlapped) = compile_and_simulate(cfg, options, Some(spec), cache);
     FaultedComparison {
-        baseline: run_baseline_faulted(cfg, spec),
-        overlapped: StepStats::from_report(cfg, &machine, &report),
+        baseline: run_baseline(cfg, Some(spec)),
+        overlapped,
         decomposed: compiled.summaries.len(),
         fallbacks: compiled.fallbacks.len(),
     }
@@ -389,28 +315,21 @@ pub fn run_comparison_options_faulted_cached(
 // old paths.
 pub use overlap_sim::{par_map, sweep_threads};
 
-/// [`run_baseline`] over a whole model zoo, fanned across cores (input
-/// order preserved).
+/// [`run_baseline`] (pristine machine) over a whole model zoo, fanned
+/// across cores (input order preserved).
 #[must_use]
 pub fn run_baselines(cfgs: &[ModelConfig]) -> Vec<StepStats> {
-    par_map(cfgs, run_baseline)
+    par_map(cfgs, |cfg| run_baseline(cfg, None))
 }
 
 /// [`run_comparison`] over a whole model zoo, fanned across cores (input
-/// order preserved).
+/// order preserved). Duplicate configurations compile once even when the
+/// parallel workers race (the cache is single-flight); every hit is
+/// bit-identical to the cold compile, so the fanned sweep stays
+/// byte-identical to the serial one at any `RAYON_NUM_THREADS`.
 #[must_use]
-pub fn run_comparisons(cfgs: &[ModelConfig]) -> Vec<Comparison> {
-    par_map(cfgs, run_comparison)
-}
-
-/// [`run_comparisons`] through an [`ArtifactCache`]. Duplicate
-/// configurations compile once even when the parallel workers race (the
-/// cache is single-flight); every hit is bit-identical to the cold
-/// compile, so the fanned sweep stays byte-identical to the serial one
-/// at any `RAYON_NUM_THREADS`.
-#[must_use]
-pub fn run_comparisons_cached(cfgs: &[ModelConfig], cache: &ArtifactCache) -> Vec<Comparison> {
-    par_map(cfgs, |cfg| run_comparison_cached(cfg, cache))
+pub fn run_comparisons(cfgs: &[ModelConfig], cache: &ArtifactCache) -> Vec<Comparison> {
+    par_map(cfgs, |cfg| run_comparison(cfg, cache))
 }
 
 /// Renders a unit-interval value as a fixed-width ASCII bar.
@@ -490,8 +409,9 @@ mod tests {
         };
         let tuned_options = OverlapOptions::autotuned(&cfg.name, &cfg.machine());
         assert_ne!(tuned_options, OverlapOptions::paper_default());
-        let tuned = run_overlapped(&cfg, tuned_options);
-        let paper = run_overlapped(&cfg, OverlapOptions::paper_default());
+        let cache = ArtifactCache::disabled();
+        let tuned = run_overlapped(&cfg, tuned_options, None, &cache);
+        let paper = run_overlapped(&cfg, OverlapOptions::paper_default(), None, &cache);
         assert!(
             tuned.step_time < paper.step_time,
             "tuned {} >= paper {}",
@@ -522,7 +442,7 @@ mod tests {
             arch: overlap_models::Arch::Decoder,
             strategy: overlap_models::PartitionStrategy::TwoD,
         };
-        let c = run_comparison(&cfg);
+        let c = run_comparison(&cfg, &ArtifactCache::disabled());
         assert!(c.baseline.step_time > 0.0);
         assert!(c.overlapped.step_time > 0.0);
         assert!(c.baseline.comm_fraction > 0.0);
@@ -547,9 +467,9 @@ mod tests {
     fn cached_sweep_is_bit_identical_to_uncached() {
         let cfg = smoke_cfg();
         let cache = ArtifactCache::in_memory();
-        let cold = run_comparison(&cfg);
-        let warm1 = run_comparison_cached(&cfg, &cache);
-        let warm2 = run_comparison_cached(&cfg, &cache);
+        let cold = run_comparison(&cfg, &ArtifactCache::disabled());
+        let warm1 = run_comparison(&cfg, &cache);
+        let warm2 = run_comparison(&cfg, &cache);
         assert_eq!(cold.speedup().to_bits(), warm1.speedup().to_bits());
         assert_eq!(
             warm1.overlapped.step_time.to_bits(),
@@ -566,7 +486,7 @@ mod tests {
         // byte-identical.
         let cfgs: Vec<_> = (0..8).map(|_| smoke_cfg()).collect();
         let cache = ArtifactCache::in_memory();
-        let rows = run_comparisons_cached(&cfgs, &cache);
+        let rows = run_comparisons(&cfgs, &cache);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().memory_hits, 7);
         for r in &rows[1..] {
@@ -576,7 +496,7 @@ mod tests {
 
     #[test]
     fn step_stats_encode_as_objects() {
-        let rows = vec![run_baseline(&smoke_cfg())];
+        let rows = vec![run_baseline(&smoke_cfg(), None)];
         let j = rows.to_json();
         assert!(j[0]["step_time"].as_f64().unwrap() > 0.0);
         assert_eq!(j[0]["model"].as_str(), Some("smoke"));

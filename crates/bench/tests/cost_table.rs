@@ -5,7 +5,7 @@
 
 use overlap_core::{OverlapOptions, OverlapPipeline};
 use overlap_models::table1_models;
-use overlap_sim::{instruction_cost, simulate_order_with, CostTable, InstrCost};
+use overlap_sim::{instruction_cost, CostTable, InstrCost, Simulation};
 
 fn assert_cost_bits_eq(a: InstrCost, b: InstrCost, ctx: &str) {
     match (a, b) {
@@ -61,14 +61,10 @@ fn cached_table_simulation_matches_pipeline_output() {
         // The pipeline's own table and a freshly built one must agree
         // with the uncached simulation entry point.
         let fresh = CostTable::new(&compiled.module, &machine).expect("cost table");
-        let via_pipeline_table =
-            simulate_order_with(&compiled.cost_table, &compiled.module, &machine, &compiled.order)
-                .expect("simulate");
-        let via_fresh_table =
-            simulate_order_with(&fresh, &compiled.module, &machine, &compiled.order)
-                .expect("simulate");
-        let uncached = overlap_sim::simulate_order(&compiled.module, &machine, &compiled.order)
-            .expect("simulate");
+        let via_pipeline_table = compiled.simulation(&machine).run().expect("simulate");
+        let built = Simulation::new(&compiled.module, &machine).order(&compiled.order);
+        let via_fresh_table = built.table(&fresh).run().expect("simulate");
+        let uncached = built.run().expect("simulate");
         assert_eq!(
             via_pipeline_table.makespan().to_bits(),
             uncached.makespan().to_bits(),

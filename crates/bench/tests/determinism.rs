@@ -2,10 +2,7 @@
 //! records — down to every float bit and therefore every serialized
 //! byte — must match what the serial path produces.
 
-use overlap_bench::{
-    par_map, run_baseline, run_baselines, run_comparison, run_comparisons,
-    run_comparisons_cached,
-};
+use overlap_bench::{par_map, run_baseline, run_baselines, run_comparison, run_comparisons};
 use overlap_core::ArtifactCache;
 use overlap_json::ToJson;
 use overlap_models::{Arch, ModelConfig, PartitionStrategy};
@@ -34,7 +31,7 @@ fn zoo() -> Vec<ModelConfig> {
 #[test]
 fn parallel_baselines_match_serial_bytes() {
     let cfgs = zoo();
-    let serial: Vec<_> = cfgs.iter().map(run_baseline).collect();
+    let serial: Vec<_> = cfgs.iter().map(|cfg| run_baseline(cfg, None)).collect();
     let parallel = run_baselines(&cfgs);
     assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
 }
@@ -42,8 +39,9 @@ fn parallel_baselines_match_serial_bytes() {
 #[test]
 fn parallel_comparisons_match_serial_bytes() {
     let cfgs = zoo();
-    let serial: Vec<_> = cfgs.iter().map(run_comparison).collect();
-    let parallel = run_comparisons(&cfgs);
+    let uncached = ArtifactCache::disabled();
+    let serial: Vec<_> = cfgs.iter().map(|cfg| run_comparison(cfg, &uncached)).collect();
+    let parallel = run_comparisons(&cfgs, &uncached);
     assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
     // Belt and braces: compare the floats at the bit level too, so the
     // test stays meaningful even if serialization ever rounds.
@@ -60,10 +58,10 @@ fn cached_parallel_sweep_matches_uncached_bytes() {
     // whatever the worker count (the fanned workers share one
     // single-flight cache).
     let cfgs = zoo();
-    let uncached = run_comparisons(&cfgs);
+    let uncached = run_comparisons(&cfgs, &ArtifactCache::disabled());
     let cache = ArtifactCache::in_memory();
-    let cold = run_comparisons_cached(&cfgs, &cache);
-    let warm = run_comparisons_cached(&cfgs, &cache);
+    let cold = run_comparisons(&cfgs, &cache);
+    let warm = run_comparisons(&cfgs, &cache);
     assert_eq!(uncached.to_json().to_string(), cold.to_json().to_string());
     assert_eq!(uncached.to_json().to_string(), warm.to_json().to_string());
     assert_eq!(cache.stats().misses, cfgs.len() as u64);

@@ -813,7 +813,6 @@ impl OverlapPipeline {
 mod tests {
     use overlap_hlo::{Builder, DType, DotDims, ReplicaGroups, Shape};
     use overlap_mesh::DeviceMesh;
-    use overlap_sim::simulate_order_with;
 
     use super::*;
 
@@ -865,10 +864,8 @@ mod tests {
         assert_bit_identical(&cold, &second);
 
         // The rehydrated bundle simulates to the same bits.
-        let a = simulate_order_with(&cold.cost_table, &cold.module, &machine, &cold.order)
-            .unwrap();
-        let b = simulate_order_with(&second.cost_table, &second.module, &machine, &second.order)
-            .unwrap();
+        let a = cold.simulation(&machine).run().unwrap();
+        let b = second.simulation(&machine).run().unwrap();
         assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
     }
 
@@ -960,10 +957,8 @@ mod tests {
         let warm = pipeline.compile_cached(&m, &machine, &cache2).unwrap();
         assert_eq!(cache2.stats(), CacheStats { memory_hits: 0, disk_hits: 1, peer_hits: 0, misses: 0 });
         assert_bit_identical(&cold, &warm);
-        let a = simulate_order_with(&cold.cost_table, &cold.module, &machine, &cold.order)
-            .unwrap();
-        let b = simulate_order_with(&warm.cost_table, &warm.module, &machine, &warm.order)
-            .unwrap();
+        let a = cold.simulation(&machine).run().unwrap();
+        let b = warm.simulation(&machine).run().unwrap();
         assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
 
         // Tamper with the payload (drop one order element): the payload

@@ -2,7 +2,7 @@
 
 use overlap_hlo::{HloError, InstrId, LayerTags, Module, ModuleAnalysis, WireFormat};
 use overlap_mesh::{FaultSpec, Machine};
-use overlap_sim::CostTable;
+use overlap_sim::{CostTable, Simulation};
 
 use crate::asyncify::asyncify_with;
 use crate::costgate::{CostModel, FaultGateAdjust, GateDecision};
@@ -215,13 +215,22 @@ pub struct Compiled {
     /// original synchronous form under the configured [`FaultSpec`];
     /// empty on fault-free compiles.
     pub fallbacks: Vec<FallbackRecord>,
-    /// Precomputed costs for `module` on the compiling machine; pass to
-    /// [`overlap_sim::simulate_order_with`] /
-    /// [`overlap_sim::simulate_order_repeated_with`] to simulate the
-    /// compiled program without re-deriving costs.
+    /// Precomputed costs for `module` on the compiling machine;
+    /// [`Compiled::simulation`] hands it to the simulator so the compiled
+    /// program runs without re-deriving costs.
     pub cost_table: CostTable,
     /// Wall time spent in each pipeline pass (see [`PhaseTimings`]).
     pub timings: PhaseTimings,
+}
+
+impl Compiled {
+    /// A [`Simulation`] of the compiled program on `machine` (the machine
+    /// it was compiled for): module, scheduled order and the cost table
+    /// the pipeline already built, pre-filled. Add `.faults(..)` and pick
+    /// a terminal: `compiled.simulation(&machine).run()`.
+    pub fn simulation<'a>(&'a self, machine: &'a Machine) -> Simulation<'a> {
+        Simulation::new(&self.module, machine).order(&self.order).table(&self.cost_table)
+    }
 }
 
 /// The compiler pipeline implementing the paper end to end:
@@ -536,13 +545,7 @@ impl OverlapPipeline {
         // construction needs no decomposed permute routing.
         if let Some(spec) = self.effective_faults() {
             let t0 = std::time::Instant::now();
-            let smoke = overlap_sim::simulate_order_faulted_with(
-                &compiled.cost_table,
-                &compiled.module,
-                machine,
-                &compiled.order,
-                spec,
-            );
+            let smoke = compiled.simulation(machine).faults(Some(spec)).run();
             compiled.timings.record("fault_smoke", t0.elapsed().as_secs_f64());
             if let Err(e) = smoke {
                 let t0 = std::time::Instant::now();
@@ -566,7 +569,6 @@ impl OverlapPipeline {
 mod tests {
     use overlap_hlo::{Builder, DType, DotDims, Op, ReplicaGroups, Shape};
     use overlap_mesh::DeviceMesh;
-    use overlap_sim::{simulate, simulate_order};
 
     use super::*;
 
@@ -588,11 +590,10 @@ mod tests {
         let n = 8;
         let m = layer(n);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let baseline = simulate(&m, &machine).unwrap();
+        let baseline = Simulation::new(&m, &machine).run().unwrap();
         let compiled =
             OverlapPipeline::new(OverlapOptions::paper_default()).run(&m, &machine).unwrap();
-        let overlapped =
-            simulate_order(&compiled.module, &machine, &compiled.order).unwrap();
+        let overlapped = compiled.simulation(&machine).run().unwrap();
         assert!(
             overlapped.makespan() < baseline.makespan(),
             "overlap {:.3e} vs baseline {:.3e}",
@@ -640,7 +641,7 @@ mod tests {
             })
             .run(&m, &machine)
             .unwrap();
-            simulate_order(&compiled.module, &machine, &compiled.order).unwrap();
+            compiled.simulation(&machine).run().unwrap();
         }
     }
 
@@ -659,7 +660,7 @@ mod tests {
             })
             .run(&m, &machine)
             .unwrap();
-            let r = simulate_order(&compiled.module, &machine, &compiled.order).unwrap();
+            let r = compiled.simulation(&machine).run().unwrap();
             makespans.push(r.makespan());
         }
         assert!(makespans[0] <= makespans[2] + 1e-12, "bottom-up beats original order");
@@ -735,9 +736,8 @@ mod tests {
         assert_eq!(compiled.order, m.arena_order());
         // The fallback program simulates fine on the pristine machine and
         // (being permute-free) even under the same stall-heavy spec.
-        simulate_order(&compiled.module, &machine, &compiled.order).unwrap();
-        overlap_sim::simulate_order_faulted(&compiled.module, &machine, &compiled.order, &spec)
-            .unwrap();
+        compiled.simulation(&machine).run().unwrap();
+        compiled.simulation(&machine).faults(Some(&spec)).run().unwrap();
         assert!(compiled.timings.seconds_of("fault_smoke") > 0.0);
     }
 

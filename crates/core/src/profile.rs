@@ -6,10 +6,8 @@
 //! `results/BENCH_sim.json` so compile-time regressions are visible next
 //! to the simulated-performance numbers.
 
-use serde::Serialize;
-
 /// One timed pipeline pass.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTiming {
     /// Pass name (e.g. `"decompose"`, `"schedule"`).
     pub phase: String,
@@ -21,7 +19,7 @@ pub struct PhaseTiming {
 ///
 /// Phases appear in execution order; a phase that did not run (e.g.
 /// `split_all_reduces` when disabled) is simply absent.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseTimings {
     phases: Vec<PhaseTiming>,
 }

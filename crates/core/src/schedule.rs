@@ -606,7 +606,7 @@ pub(crate) fn positions(order: &[InstrId]) -> HashMap<InstrId, usize> {
 #[cfg(test)]
 mod tests {
     use overlap_hlo::{Builder, DType, DotDims, Shape};
-    use overlap_sim::simulate_order;
+    use overlap_sim::Simulation;
 
     use super::*;
 
@@ -639,7 +639,7 @@ mod tests {
         let pos = positions(&order);
         assert!(pos[&s] < pos[&y], "start should issue before the einsum");
         assert!(pos[&d] > pos[&y], "done should retire after the einsum");
-        let r = simulate_order(&m, &machine, &order).unwrap();
+        let r = Simulation::new(&m, &machine).order(&order).run().unwrap();
         assert_eq!(r.exposed_async_time(), 0.0, "transfer should hide entirely");
     }
 
@@ -651,7 +651,7 @@ mod tests {
         let pos = positions(&order);
         assert!(pos[&s] < pos[&y]);
         assert!(pos[&d] > pos[&y]);
-        let r = simulate_order(&m, &machine, &order).unwrap();
+        let r = Simulation::new(&m, &machine).order(&order).run().unwrap();
         assert_eq!(r.exposed_async_time(), 0.0);
     }
 
@@ -661,8 +661,8 @@ mod tests {
         let machine = Machine::tpu_v4_like(2);
         for order in [schedule_bottom_up(&m, &machine), schedule_top_down(&m, &machine)] {
             assert_eq!(order.len(), m.len());
-            // simulate_order validates topological completeness.
-            simulate_order(&m, &machine, &order).unwrap();
+            // The simulator validates topological completeness.
+            Simulation::new(&m, &machine).order(&order).run().unwrap();
         }
     }
 
@@ -756,7 +756,7 @@ mod tests {
             [schedule_bottom_up_ctx(&ctx, &m, &machine), schedule_top_down_ctx(&ctx, &m, &machine)]
         {
             assert_eq!(order.len(), m.len());
-            simulate_order(&m, &machine, &order).unwrap();
+            Simulation::new(&m, &machine).order(&order).run().unwrap();
             // Strict barriers: stage tags are non-decreasing along the order.
             let stage_seq: Vec<u32> = order.iter().map(|&id| tags.layer_of(id)).collect();
             let mut sorted = stage_seq.clone();
@@ -780,7 +780,7 @@ mod tests {
                 schedule_top_down_ctx(&ctx, &m, &machine),
             ] {
                 assert_eq!(order.len(), m.len());
-                simulate_order(&m, &machine, &order).unwrap();
+                Simulation::new(&m, &machine).order(&order).run().unwrap();
                 // Any two instructions more than `w` stages apart must
                 // respect stage order (the window bounds interleaving).
                 for (i, &a) in order.iter().enumerate() {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a tensor [`Shape`](crate::Shape).
 ///
 /// Only the types that appear in the paper's transformation are modeled:
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(DType::BF16.size_bytes(), 2);
 /// assert!(DType::F32.is_float());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DType {
     /// 32-bit IEEE-754 float.
     F32,

@@ -1,7 +1,5 @@
 //! Einsum (XLA `DotGeneral`) dimension numbers and shape/flop inference.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HloError, Shape};
 
 /// Dimension numbers of an `Einsum` (general dot product), following XLA's
@@ -25,7 +23,7 @@ use crate::{HloError, Shape};
 /// assert_eq!(out.dims(), &[4, 8, 32]);
 /// assert_eq!(dims.flops(&lhs, &rhs), 2 * 4 * 8 * 16 * 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DotDims {
     batch: Vec<(usize, usize)>,
     contracting: Vec<(usize, usize)>,
@@ -65,8 +63,7 @@ impl DotDims {
 
     /// Unchecked construction for the wire layer (`crate::json`): a
     /// decoded module is untrusted and shape inference in the verifier
-    /// rejects malformed dimension numbers, mirroring what a derived
-    /// `Deserialize` would permit.
+    /// rejects malformed dimension numbers.
     pub(crate) fn from_raw(
         batch: Vec<(usize, usize)>,
         contracting: Vec<(usize, usize)>,

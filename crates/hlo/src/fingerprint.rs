@@ -4,7 +4,7 @@
 //! *what a module computes*, not how its arena happens to be laid out,
 //! so the key must be:
 //!
-//! - **stable across serde round-trips** — the hash reads semantic
+//! - **stable across JSON round-trips** — the hash reads semantic
 //!   fields only, never pointer identities or iteration order of
 //!   anything unordered;
 //! - **stable under renaming** — instruction names and pass tags are
@@ -188,7 +188,7 @@ impl Module {
     /// The module's structural fingerprint: a stable 128-bit content
     /// hash of the computation — instructions (as a multiset of Merkle
     /// cone hashes), ordered entry outputs, partition count and fusion
-    /// grouping. Stable across serde round-trips, instruction renaming
+    /// grouping. Stable across JSON round-trips, instruction renaming
     /// and topological arena re-numbering; changed by any structural
     /// edit (shapes, op payloads, operand wiring, replica groups, dot
     /// dims, outputs, fusion membership).

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Op, Shape};
 
 /// Identifier of an [`Instruction`] within its [`Module`](crate::Module).
@@ -11,7 +9,7 @@ use crate::{Op, Shape};
 /// Ids are arena indices; an instruction's operands always have smaller ids
 /// than the instruction itself (the builder enforces use-after-def), so the
 /// arena order is a valid topological order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstrId(pub(crate) u32);
 
 impl InstrId {
@@ -41,7 +39,7 @@ impl fmt::Display for InstrId {
 /// result shape, plus a human-readable name and an optional pass-assigned
 /// tag used for reporting (e.g. `"lce.partial_einsum"` on instructions
 /// emitted by the decomposition).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     pub(crate) name: String,
     pub(crate) shape: Shape,

@@ -1,10 +1,10 @@
 //! Lossless JSON encoding of the IR via `overlap-json`.
 //!
 //! This is the wire format `overlapc` and the on-disk artifact cache
-//! exchange modules in. The layout deliberately mirrors what derived
-//! serde would produce — externally tagged enums, struct fields in
-//! declaration order, newtypes transparent — so documents written by
-//! real-serde builds of this workspace parse unchanged, and tooling
+//! exchange modules in. The layout is the one derived serde used to
+//! produce — externally tagged enums, struct fields in declaration
+//! order, newtypes transparent — so documents written by the earliest,
+//! serde-based revisions of this workspace parse unchanged, and tooling
 //! that pokes paths like `v["instrs"][3]["operands"][0]` keeps working.
 //!
 //! Decoding performs **no graph validation**: a decoded [`Module`] is
@@ -61,7 +61,7 @@ impl ToJson for DotDims {
 
 impl FromJson for DotDims {
     fn from_json(v: &Json) -> Result<DotDims, String> {
-        // Unvalidated, like a derived Deserialize: einsum shape inference
+        // Unvalidated: einsum shape inference
         // in the verifier rejects inconsistent dimension numbers.
         Ok(DotDims::from_raw(v.decode_field("batch")?, v.decode_field("contracting")?))
     }
@@ -150,9 +150,10 @@ fn variant(tag: &str, payload: Json) -> Json {
     Json::obj().with(tag, payload)
 }
 
-/// Appends a collective's `wire` field, mirroring the serde
-/// `skip_serializing_if`: lossless is the default and stays implicit so
-/// pre-annotation serialized modules re-encode byte-identically.
+/// Appends a collective's `wire` field unless it is lossless: lossless
+/// is the default and stays implicit, so pre-annotation serialized
+/// modules re-encode byte-identically. The lossless-is-invisible rule is
+/// stated and enforced here and in [`decode_wire`], nowhere else.
 fn with_wire(payload: Json, wire: WireFormat) -> Json {
     if wire.is_lossless() {
         payload
@@ -172,7 +173,7 @@ fn decode_wire(payload: &Json) -> Result<WireFormat, String> {
 impl ToJson for Op {
     fn to_json(&self) -> Json {
         match self {
-            // Unit variants are bare strings, like derived serde.
+            // Unit variants are bare strings.
             Op::Reshape
             | Op::DynamicUpdateSlice
             | Op::Copy

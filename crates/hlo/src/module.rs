@@ -1,7 +1,5 @@
 //! Modules: flat-arena dataflow graphs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HloError, InstrId, Instruction, Op, Shape};
 
 /// Identifier of a [`FusionGroup`] within its module.
@@ -24,7 +22,7 @@ impl FusionId {
 /// union of the members' external dependences. This is exactly the property
 /// that makes the Fig. 11 "bad fusion" serialize an einsum behind a
 /// `CollectivePermuteDone`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionGroup {
     /// Instructions fused together, in topological order.
     pub members: Vec<InstrId>,
@@ -39,10 +37,10 @@ pub struct FusionGroup {
 /// Modules are immutable once built; compiler passes construct transformed
 /// modules via a fresh [`Builder`](crate::Builder).
 ///
-/// Modules serialize with serde for tooling; a **deserialized module is
-/// untrusted** — call [`Module::verify`] before using it, since the wire
-/// format cannot enforce the graph invariants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Modules serialize to JSON (`crate::json`) for tooling; a **decoded
+/// module is untrusted** — call [`Module::verify`] before using it, since
+/// the wire format cannot enforce the graph invariants.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     pub(crate) name: String,
     pub(crate) instrs: Vec<Instruction>,

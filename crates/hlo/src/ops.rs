@@ -3,12 +3,11 @@
 use std::fmt;
 
 use overlap_quant::WireFormat;
-use serde::{Deserialize, Serialize};
 
 use crate::{DotDims, HloError};
 
 /// Elementwise binary operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryKind {
     /// Elementwise addition (also the reduction operator of `AllReduce` and
     /// `ReduceScatter`).
@@ -45,7 +44,7 @@ impl BinaryKind {
 }
 
 /// Elementwise unary operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryKind {
     /// Numeric negation.
     Neg,
@@ -68,7 +67,7 @@ impl UnaryKind {
 }
 
 /// One dimension of a `Pad` configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PadDim {
     /// Elements of padding inserted before the data.
     pub low: usize,
@@ -94,7 +93,7 @@ impl PadDim {
 /// into disjoint groups, each of which runs the collective independently
 /// (XLA's `replica_groups`). Subgroup collectives along one mesh axis (the
 /// `(x)`/`(y)` annotations of Fig. 3) are expressed this way.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplicaGroups(Vec<Vec<u32>>);
 
 impl ReplicaGroups {
@@ -141,7 +140,7 @@ impl ReplicaGroups {
 
     /// Unchecked construction for the wire layer (`crate::json`): a
     /// decoded module is untrusted and `Module::verify` re-checks group
-    /// invariants, mirroring what a derived `Deserialize` would permit.
+    /// invariants.
     pub(crate) fn from_raw(groups: Vec<Vec<u32>>) -> Self {
         ReplicaGroups(groups)
     }
@@ -220,7 +219,7 @@ pub enum CollectiveOp {
 /// Operand arity and shape rules are enforced by
 /// [`Module::verify`](crate::Module::verify); see that method for the full
 /// list of invariants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Entry-computation input number `index`.
     Parameter {
@@ -302,7 +301,6 @@ pub enum Op {
         /// Wire encoding of the transferred shards (lossless by
         /// default; quantized formats shrink wire bytes at a bounded
         /// accuracy cost, see `overlap-quant`).
-        #[serde(default, skip_serializing_if = "WireFormat::is_lossless")]
         wire: WireFormat,
     },
     /// Elementwise-sum over the group, then keep this partition's shard of
@@ -316,7 +314,6 @@ pub enum Op {
         /// reductions encode each participant's contribution once
         /// before summation (EQuARX-style), so error grows with the
         /// group size, not with ring hops.
-        #[serde(default, skip_serializing_if = "WireFormat::is_lossless")]
         wire: WireFormat,
     },
     /// Elementwise-sum over the group, replicated result.
@@ -325,7 +322,6 @@ pub enum Op {
         groups: ReplicaGroups,
         /// Wire encoding of the transferred contributions (see
         /// [`Op::ReduceScatter`]'s `wire`).
-        #[serde(default, skip_serializing_if = "WireFormat::is_lossless")]
         wire: WireFormat,
     },
     /// Split along `split_dim`, exchange shards within the group, and
@@ -345,7 +341,6 @@ pub enum Op {
         /// `(source, destination)` pairs; destinations must be distinct.
         pairs: Vec<(u32, u32)>,
         /// Wire encoding of the exchanged shards.
-        #[serde(default, skip_serializing_if = "WireFormat::is_lossless")]
         wire: WireFormat,
     },
     /// Non-blocking start of a collective permute (§5.2). The result is an
@@ -355,7 +350,6 @@ pub enum Op {
         pairs: Vec<(u32, u32)>,
         /// Wire encoding of the in-flight transfer; the paired
         /// `CollectivePermuteDone` observes the dequantized data.
-        #[serde(default, skip_serializing_if = "WireFormat::is_lossless")]
         wire: WireFormat,
     },
     /// Blocks until the paired start's transfer has completed; yields the

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::DType;
 
 /// Shape of a dense tensor: an element type plus a list of dimension sizes.
@@ -20,7 +18,7 @@ use crate::DType;
 /// assert_eq!(s.num_elements(), 128 * 512);
 /// assert_eq!(s.byte_size(), 128 * 512 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dtype: DType,
     dims: Vec<usize>,

@@ -23,8 +23,7 @@
 //! The object model preserves insertion order and the printers mirror
 //! the layout `serde_json` would produce for derived types (externally
 //! tagged enums, declaration-order fields, 2-space pretty indent), so
-//! files written by earlier revisions and by real-serde environments
-//! parse identically.
+//! files written by earlier, serde-based revisions parse identically.
 
 mod convert;
 mod hash;

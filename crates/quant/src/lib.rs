@@ -30,7 +30,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use overlap_json::{FromJson, Json, StableHasher, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Block width [`WireFormat::Int8Block`] uses when no explicit width is
 /// requested: small enough that one outlier only inflates 64 elements'
@@ -50,7 +49,7 @@ pub const MAX_INT8_BLOCK: usize = 4096;
 /// — by construction everywhere this enum is threaded — byte-identical
 /// behavior to a build that predates the precision axis. The other
 /// formats shrink wire bytes at a documented, bounded accuracy cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
     /// Full-width passthrough: what every transfer did before the
     /// precision axis existed. Zero error, zero codec cost.
@@ -250,7 +249,7 @@ impl std::fmt::Display for WireFormat {
     }
 }
 
-/// Externally-tagged layout mirroring derived serde: unit variants as
+/// Externally-tagged layout: unit variants as
 /// bare strings, the int8 variant as `{"Int8Block":{"block":N}}`.
 impl ToJson for WireFormat {
     fn to_json(&self) -> Json {

@@ -15,7 +15,7 @@
 //! The service contract, in one sentence: a compile request's `result`
 //! object is a pure function of (model, machine, options, fault spec)
 //! — byte-identical to a direct `OverlapPipeline::compile_cached` +
-//! `simulate` run — while provenance and timing ride separately in
+//! `Simulation` run — while provenance and timing ride separately in
 //! `served`, and overload, drain and malformed input all answer with
 //! typed errors instead of dropped connections.
 

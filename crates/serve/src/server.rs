@@ -976,8 +976,11 @@ impl<'a> EventLoop<'a> {
     fn answer_member(&mut self, member: &Member, completion: &Completion) {
         let Some(conn) = self.conns.get_mut(&member.token) else { return };
         let conn_id = conn.id;
+        // A member that joined a job already under way waited for only
+        // the rest of it: never report more service than its own wait.
         let total_ms = member.admitted.elapsed().as_secs_f64() * 1e3;
-        let queue_ms = (total_ms - completion.compile_ms).max(0.0);
+        let service_ms = completion.compile_ms.min(total_ms);
+        let queue_ms = total_ms - service_ms;
         let (resp, ok, source) = match &completion.result {
             Ok(JobOutput::Compile(result, outcome)) => {
                 let source = if member.leader {
@@ -991,7 +994,7 @@ impl<'a> EventLoop<'a> {
                         served: ServedInfo {
                             source: source.clone(),
                             queue_ms,
-                            service_ms: completion.compile_ms,
+                            service_ms,
                         },
                     })),
                     true,
@@ -1031,7 +1034,7 @@ impl<'a> EventLoop<'a> {
             kind: member.kind.to_string(),
             ok,
             queue_ms,
-            compile_ms: completion.compile_ms,
+            compile_ms: service_ms,
             serialize_ms,
         });
         self.ship(member.token);

@@ -9,110 +9,210 @@ use crate::report::{FaultAttribution, Report, Span, SpanKind, Timeline};
 use crate::table::{CostTable, NO_GROUP};
 use crate::SimError;
 
-/// Simulates `module` in its arena (builder) order.
-///
-/// Equivalent to [`simulate_order`] with [`Module::ids`]. Arena order is
-/// the order a straightforward compiler would emit — synchronous
-/// collectives inline, no latency hiding — so this is the paper's
-/// *baseline* execution.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidModule`] if verification fails.
-pub fn simulate(module: &Module, machine: &Machine) -> Result<Report, SimError> {
-    simulate_order(module, machine, &module.arena_order())
+/// One simulation request: *what* to execute (`module` on `machine`),
+/// three optional inputs that are orthogonal to one another —
+/// [`order`](Self::order), [`table`](Self::table),
+/// [`faults`](Self::faults) — and a terminal choosing what "execute"
+/// means: [`run`](Self::run), [`repeated`](Self::repeated) or
+/// [`tail`](Self::tail). Every combination is valid; all of them share
+/// one prologue (table covers the module, order is a complete topological
+/// order, count is non-zero, fault spec fits the machine) and one engine.
+#[derive(Debug, Clone, Copy)]
+#[must_use = "a Simulation does nothing until run(), repeated() or tail() is called"]
+pub struct Simulation<'a> {
+    module: &'a Module,
+    machine: &'a Machine,
+    order: Option<&'a [InstrId]>,
+    table: Option<&'a CostTable>,
+    faults: Option<&'a FaultSpec>,
 }
 
-/// Simulates `module` executing instructions in the given linear order.
-///
-/// The order must be a permutation of all instruction ids in which every
-/// operand precedes its users (the schedulers in `overlap-core` produce
-/// such orders). See the crate docs for the execution model.
-///
-/// Builds a fresh [`CostTable`] for the call; when simulating the same
-/// module repeatedly, build the table once and use
-/// [`simulate_order_with`].
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidModule`] on verification failure and
-/// [`SimError::InvalidSchedule`] if the order is not a complete
-/// topological order.
+impl<'a> Simulation<'a> {
+    /// A request to execute `module` on `machine` with every optional
+    /// input at its default.
+    pub fn new(module: &'a Module, machine: &'a Machine) -> Self {
+        Simulation { module, machine, order: None, table: None, faults: None }
+    }
+
+    /// Executes instructions in the given linear order: a permutation of
+    /// all instruction ids in which every operand precedes its users (the
+    /// schedulers in `overlap-core` produce such orders). The default is
+    /// arena (builder) order, the order a straightforward compiler would
+    /// emit — synchronous collectives inline, no latency hiding — i.e.
+    /// the paper's *baseline* execution.
+    pub fn order(mut self, order: &'a [InstrId]) -> Self {
+        self.order = Some(order);
+        self
+    }
+
+    /// Uses a pre-built [`CostTable`] (built for this same
+    /// `(module, machine)` pair) instead of verifying the module and
+    /// deriving every cost again for this call. The table holds
+    /// *pristine* costs; the fault model perturbs them at execution time,
+    /// so one table serves every fault spec.
+    pub fn table(mut self, table: &'a CostTable) -> Self {
+        self.table = Some(table);
+        self
+    }
+
+    /// Executes on the degraded machine described by `spec` (`None`: the
+    /// pristine machine).
+    ///
+    /// Same seed ⇒ bit-identical result: all randomness (jitter, stalls)
+    /// is a pure function of the seed and the event identity. With
+    /// [`FaultSpec::default()`] the result is bit-identical to `None`.
+    pub fn faults(mut self, spec: Option<&'a FaultSpec>) -> Self {
+        self.faults = spec;
+        self
+    }
+
+    /// Simulates one execution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidModule`] if a table has to be built and
+    /// verification fails, [`SimError::InvalidSchedule`] if the order is
+    /// not a complete topological order or the table does not cover the
+    /// module, and — with a fault spec — [`SimError::InvalidFaultSpec`]
+    /// for a spec that does not fit the machine, [`SimError::LinkDown`]
+    /// for unroutable transfers, and [`SimError::Timeout`] /
+    /// [`SimError::Deadlock`] from the watchdog.
+    pub fn run(&self) -> Result<Report, SimError> {
+        self.repeated(1)
+    }
+
+    /// Simulates `reps` back-to-back executions (e.g. the identical
+    /// layers of a transformer): stream clocks and in-flight transfers
+    /// carry across repetitions, so a prologue transfer of repetition
+    /// `i+1` can hide under the tail compute of repetition `i` — overlap
+    /// that multiplying a single-layer makespan by the layer count would
+    /// miss. The module is verified and the order validated once, and
+    /// dense per-instruction engine state is reused across repetitions.
+    /// Under a fault spec each repetition draws its own jitter/stall
+    /// values (the repetition index is part of every event identity).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](Self::run), plus
+    /// [`SimError::ZeroRepetitions`] when `reps == 0`.
+    pub fn repeated(&self, reps: usize) -> Result<Report, SimError> {
+        let mut combined: Option<Report> = None;
+        self.execute(reps, true, |report| match &mut combined {
+            Some(combined) => combined.absorb(report),
+            None => combined = Some(report),
+        })?;
+        combined.ok_or(SimError::ZeroRepetitions)
+    }
+
+    /// Draws `draws` *independent* executions and returns the per-draw
+    /// makespans in draw order — the distributional terminal behind the
+    /// tail-latency report (`fig_tail`, the perfgate `tail` section).
+    ///
+    /// Unlike [`repeated`](Self::repeated), stream clocks do **not**
+    /// carry across draws: every draw starts from a fresh engine state,
+    /// so the result is `draws` samples of the *same* step's makespan
+    /// under different fault realizations, not one long run. Draw `i`
+    /// uses `i` as the repetition index of every fault-event identity, so
+    /// the sample set is a pure function of `(spec, module, order)` —
+    /// independent of evaluation order and thread count, and each draw's
+    /// jitter values are distinct. Summarize with
+    /// [`TailSummary::from_samples`](crate::TailSummary::from_samples).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](Self::run), plus
+    /// [`SimError::ZeroRepetitions`] when `draws == 0`. A failing draw
+    /// (watchdog, unroutable link) fails the whole call — tail
+    /// percentiles over a censored sample set would be lies.
+    pub fn tail(&self, draws: usize) -> Result<Vec<f64>, SimError> {
+        let mut makespans = Vec::with_capacity(draws);
+        self.execute(draws, false, |report| makespans.push(report.makespan()))?;
+        Ok(makespans)
+    }
+
+    /// What every terminal shares: resolve the defaults, check the inputs
+    /// against one another, then run `count` executions (`rep` is the
+    /// repetition index of every fault-event identity), stream clocks
+    /// carried from one to the next or each from a fresh state.
+    fn execute(
+        &self,
+        count: usize,
+        carry_clocks: bool,
+        mut each: impl FnMut(Report),
+    ) -> Result<(), SimError> {
+        let (module, machine) = (self.module, self.machine);
+        let built;
+        let table = match self.table {
+            Some(table) => table,
+            None => {
+                built = CostTable::new(module, machine)?;
+                &built
+            }
+        };
+        check_table(table, module)?;
+        let arena;
+        let order = match self.order {
+            Some(order) => order,
+            None => {
+                arena = module.arena_order();
+                &arena
+            }
+        };
+        validate_order(module, order)?;
+        if count == 0 {
+            return Err(SimError::ZeroRepetitions);
+        }
+        let faults = self.faults.map(|spec| FaultModel::new(machine, spec)).transpose()?;
+        let mut scratch = EngineScratch::for_len(module.len());
+        let mut state = EngineState::default();
+        for rep in 0..count {
+            if !carry_clocks {
+                state = EngineState::default();
+            }
+            each(run_engine(
+                module,
+                machine,
+                order,
+                table,
+                &mut scratch,
+                &mut state,
+                faults.as_ref(),
+                rep,
+            )?);
+        }
+        Ok(())
+    }
+}
+
+// The five spellings below are called by name from the frozen benchmark
+// (`ledger/`) and by nothing else; the `benchmark` issue that ports the
+// ledger onto `Simulation` deletes them.
+
+/// `Simulation::new(module, machine).run()`.
+pub fn simulate(module: &Module, machine: &Machine) -> Result<Report, SimError> {
+    Simulation::new(module, machine).run()
+}
+
+/// [`simulate`] with `.order(order)`.
 pub fn simulate_order(
     module: &Module,
     machine: &Machine,
     order: &[InstrId],
 ) -> Result<Report, SimError> {
-    let table = CostTable::new(module, machine)?;
-    simulate_order_with(&table, module, machine, order)
+    Simulation::new(module, machine).order(order).run()
 }
 
-/// Simulates one execution of `module` under `order` using a
-/// pre-built [`CostTable`] (built for this same `(module, machine)`
-/// pair), skipping re-verification and cost re-derivation.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidSchedule`] if the order is not a complete
-/// topological order or the table does not cover the module.
+/// [`simulate_order`] with `.table(table)`.
 pub fn simulate_order_with(
     table: &CostTable,
     module: &Module,
     machine: &Machine,
     order: &[InstrId],
 ) -> Result<Report, SimError> {
-    check_table(table, module)?;
-    validate_order(module, order)?;
-    let mut scratch = EngineScratch::for_len(module.len());
-    run_engine(module, machine, order, table, &mut scratch, &mut EngineState::default(), None, 0)
+    Simulation::new(module, machine).order(order).table(table).run()
 }
 
-/// Simulates `module` in arena order on a degraded machine described by
-/// `spec` — the fault-injection counterpart of [`simulate`].
-///
-/// Same seed ⇒ bit-identical report: all randomness (jitter, stalls) is
-/// a pure function of the seed and the event identity. With
-/// [`FaultSpec::default()`] the result is bit-identical to [`simulate`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`], plus [`SimError::InvalidFaultSpec`]
-/// for a spec that does not fit the machine, [`SimError::LinkDown`] for
-/// unroutable transfers, and [`SimError::Timeout`] /
-/// [`SimError::Deadlock`] from the watchdog.
-pub fn simulate_faulted(
-    module: &Module,
-    machine: &Machine,
-    spec: &FaultSpec,
-) -> Result<Report, SimError> {
-    simulate_order_faulted(module, machine, &module.arena_order(), spec)
-}
-
-/// Simulates `module` under `order` on a degraded machine described by
-/// `spec` — the fault-injection counterpart of [`simulate_order`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order`] plus the fault-path errors
-/// listed on [`simulate_faulted`].
-pub fn simulate_order_faulted(
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    spec: &FaultSpec,
-) -> Result<Report, SimError> {
-    let table = CostTable::new(module, machine)?;
-    simulate_order_faulted_with(&table, module, machine, order, spec)
-}
-
-/// [`simulate_order_faulted`] with a pre-built [`CostTable`]. The table
-/// holds *pristine* costs; the fault model perturbs them at execution
-/// time, so one table serves every fault spec.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order_with`] plus the fault-path errors
-/// listed on [`simulate_faulted`].
+/// [`simulate_order_with`] with `.faults(Some(spec))`.
 pub fn simulate_order_faulted_with(
     table: &CostTable,
     module: &Module,
@@ -120,174 +220,10 @@ pub fn simulate_order_faulted_with(
     order: &[InstrId],
     spec: &FaultSpec,
 ) -> Result<Report, SimError> {
-    check_table(table, module)?;
-    validate_order(module, order)?;
-    let model = FaultModel::new(machine, spec)?;
-    let mut scratch = EngineScratch::for_len(module.len());
-    run_engine(
-        module,
-        machine,
-        order,
-        table,
-        &mut scratch,
-        &mut EngineState::default(),
-        Some(&model),
-        0,
-    )
+    Simulation::new(module, machine).order(order).table(table).faults(Some(spec)).run()
 }
 
-/// [`simulate_order_repeated`] on a degraded machine: `reps`
-/// back-to-back executions under `spec`, stream clocks carrying across
-/// repetitions. Each repetition draws its own jitter/stall values (the
-/// repetition index is part of every event identity).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order_repeated`] plus the fault-path
-/// errors listed on [`simulate_faulted`].
-pub fn simulate_order_repeated_faulted(
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    reps: usize,
-    spec: &FaultSpec,
-) -> Result<Report, SimError> {
-    let table = CostTable::new(module, machine)?;
-    simulate_order_repeated_faulted_with(&table, module, machine, order, reps, spec)
-}
-
-/// [`simulate_order_repeated_faulted`] with a pre-built [`CostTable`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order_repeated_with`] plus the
-/// fault-path errors listed on [`simulate_faulted`].
-pub fn simulate_order_repeated_faulted_with(
-    table: &CostTable,
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    reps: usize,
-    spec: &FaultSpec,
-) -> Result<Report, SimError> {
-    check_table(table, module)?;
-    validate_order(module, order)?;
-    if reps == 0 {
-        return Err(SimError::ZeroRepetitions);
-    }
-    let model = FaultModel::new(machine, spec)?;
-    let mut scratch = EngineScratch::for_len(module.len());
-    let mut state = EngineState::default();
-    let mut combined =
-        run_engine(module, machine, order, table, &mut scratch, &mut state, Some(&model), 0)?;
-    for rep in 1..reps {
-        let report = run_engine(
-            module,
-            machine,
-            order,
-            table,
-            &mut scratch,
-            &mut state,
-            Some(&model),
-            rep,
-        )?;
-        combined.absorb(report);
-    }
-    Ok(combined)
-}
-
-/// Simulates `reps` back-to-back executions of `module` under `order`
-/// (e.g. the identical layers of a transformer): stream clocks and
-/// in-flight transfers carry across repetitions, so a prologue transfer
-/// of repetition `i+1` can hide under the tail compute of repetition `i`
-/// — overlap that multiplying a single-layer makespan by the layer count
-/// would miss.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order`], plus
-/// [`SimError::ZeroRepetitions`] when `reps == 0`.
-pub fn simulate_order_repeated(
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    reps: usize,
-) -> Result<Report, SimError> {
-    let table = CostTable::new(module, machine)?;
-    simulate_order_repeated_with(&table, module, machine, order, reps)
-}
-
-/// [`simulate_order_repeated`] with a pre-built [`CostTable`]: the module
-/// is verified and the order validated once, and dense per-instruction
-/// engine state is reused across all `reps` executions.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidSchedule`] if the order is not a complete
-/// topological order or the table does not cover the module, and
-/// [`SimError::ZeroRepetitions`] when `reps == 0`.
-pub fn simulate_order_repeated_with(
-    table: &CostTable,
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    reps: usize,
-) -> Result<Report, SimError> {
-    check_table(table, module)?;
-    validate_order(module, order)?;
-    if reps == 0 {
-        return Err(SimError::ZeroRepetitions);
-    }
-    let mut scratch = EngineScratch::for_len(module.len());
-    let mut state = EngineState::default();
-    let mut combined =
-        run_engine(module, machine, order, table, &mut scratch, &mut state, None, 0)?;
-    for rep in 1..reps {
-        let report =
-            run_engine(module, machine, order, table, &mut scratch, &mut state, None, rep)?;
-        combined.absorb(report);
-    }
-    Ok(combined)
-}
-
-/// Draws `draws` *independent* seeded executions of `module` under
-/// `order` on the degraded machine described by `spec` and returns the
-/// per-draw makespans in draw order — the distributional entry point
-/// behind the tail-latency report (`fig_tail`, the perfgate `tail`
-/// section).
-///
-/// Unlike [`simulate_order_repeated_faulted`], stream clocks do **not**
-/// carry across draws: every draw starts from a fresh engine state, so
-/// the result is `draws` samples of the *same* step's makespan under
-/// different fault realizations, not one long run. Draw `i` uses `i` as
-/// the repetition index of every fault-event identity, so the sample
-/// set is a pure function of `(spec, module, order)` — independent of
-/// evaluation order and thread count, and each draw's jitter values are
-/// distinct. Summarize with
-/// [`TailSummary::from_samples`](crate::TailSummary::from_samples).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order_faulted`], plus
-/// [`SimError::ZeroRepetitions`] when `draws == 0`. A failing draw
-/// (watchdog, unroutable link) fails the whole call — tail percentiles
-/// over a censored sample set would be lies.
-pub fn simulate_order_tail(
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    spec: &FaultSpec,
-    draws: usize,
-) -> Result<Vec<f64>, SimError> {
-    let table = CostTable::new(module, machine)?;
-    simulate_order_tail_with(&table, module, machine, order, spec, draws)
-}
-
-/// [`simulate_order_tail`] with a pre-built [`CostTable`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_order_tail`].
+/// [`simulate_order_faulted_with`] ending in `.tail(draws)`.
 pub fn simulate_order_tail_with(
     table: &CostTable,
     module: &Module,
@@ -296,29 +232,7 @@ pub fn simulate_order_tail_with(
     spec: &FaultSpec,
     draws: usize,
 ) -> Result<Vec<f64>, SimError> {
-    check_table(table, module)?;
-    validate_order(module, order)?;
-    if draws == 0 {
-        return Err(SimError::ZeroRepetitions);
-    }
-    let model = FaultModel::new(machine, spec)?;
-    let mut scratch = EngineScratch::for_len(module.len());
-    let mut makespans = Vec::with_capacity(draws);
-    for draw in 0..draws {
-        // Fresh state per draw: each sample is an independent execution.
-        let report = run_engine(
-            module,
-            machine,
-            order,
-            table,
-            &mut scratch,
-            &mut EngineState::default(),
-            Some(&model),
-            draw,
-        )?;
-        makespans.push(report.makespan());
-    }
-    Ok(makespans)
+    Simulation::new(module, machine).order(order).table(table).faults(Some(spec)).tail(draws)
 }
 
 fn check_table(table: &CostTable, module: &Module) -> Result<(), SimError> {
@@ -716,36 +630,12 @@ mod tests {
         let wg = b.all_gather(w, 0, ReplicaGroups::full(n), "wg");
         let y = b.einsum(x, wg, DotDims::new(vec![], vec![(1, 0)]).unwrap(), "y");
         let m = b.build(vec![y]);
-        let r = simulate(&m, &machine(n)).unwrap();
+        let r = Simulation::new(&m, &machine(n)).run().unwrap();
         // Makespan ≈ collective + einsum (serialized).
         assert!(r.sync_comm_time() > 0.0);
         assert!(r.compute_time() > 0.0);
         assert!(r.makespan() >= r.sync_comm_time() + r.compute_time() - 1e-12);
         assert!(r.comm_fraction() > 0.0);
-    }
-
-    #[test]
-    fn zero_repetitions_is_a_dedicated_error() {
-        let n = 2;
-        let mut b = Builder::new("m", n);
-        let x = b.parameter(f32s(&[64, 64]), "x");
-        let w = b.parameter(f32s(&[64, 64]), "w");
-        let y = b.einsum(x, w, DotDims::matmul(), "y");
-        let m = b.build(vec![y]);
-        let machine = machine(n);
-        let order = m.arena_order();
-        let table = CostTable::new(&m, &machine).unwrap();
-        // Matchable variant, not a stringly InvalidSchedule.
-        assert_eq!(
-            simulate_order_repeated_with(&table, &m, &machine, &order, 0),
-            Err(SimError::ZeroRepetitions)
-        );
-        assert_eq!(
-            simulate_order_repeated(&m, &machine, &order, 0),
-            Err(SimError::ZeroRepetitions)
-        );
-        // And one repetition still simulates.
-        assert!(simulate_order_repeated(&m, &machine, &order, 1).is_ok());
     }
 
     #[test]
@@ -759,7 +649,7 @@ mod tests {
         let y = b.einsum(x, w, DotDims::matmul(), "y"); // independent big compute
         let d = b.collective_permute_done(s, "d");
         let m = b.build(vec![y, d]);
-        let r = simulate(&m, &machine(n)).unwrap();
+        let r = Simulation::new(&m, &machine(n)).run().unwrap();
         // The tiny transfer hides entirely behind the big einsum.
         assert_eq!(r.exposed_async_time(), 0.0);
         assert!(r.hidden_async_time() > 0.0);
@@ -774,7 +664,7 @@ mod tests {
         let d = b.collective_permute_done(s, "d");
         let c = b.copy(d, "c");
         let m = b.build(vec![c]);
-        let r = simulate(&m, &machine(n)).unwrap();
+        let r = Simulation::new(&m, &machine(n)).run().unwrap();
         // Nothing to overlap with: the transfer is fully exposed.
         assert!(r.exposed_async_time() > 0.0);
         assert!(r.hidden_async_time() < 1e-12);
@@ -793,7 +683,7 @@ mod tests {
         let d1 = b.collective_permute_done(s1, "d1");
         let d2 = b.collective_permute_done(s2, "d2");
         let m = b.build(vec![d1, d2]);
-        let r = simulate(&m, &ring).unwrap();
+        let r = Simulation::new(&m, &ring).run().unwrap();
 
         // Same two transfers, same direction: they serialize on one lane.
         let mut b2 = Builder::new("m2", n);
@@ -803,7 +693,7 @@ mod tests {
         let d1 = b2.collective_permute_done(s1, "d1");
         let d2 = b2.collective_permute_done(s2, "d2");
         let m2 = b2.build(vec![d1, d2]);
-        let r2 = simulate(&m2, &ring).unwrap();
+        let r2 = Simulation::new(&m2, &ring).run().unwrap();
         assert!(r.makespan() < r2.makespan());
     }
 
@@ -817,11 +707,11 @@ mod tests {
         let y = b.einsum(x, w, DotDims::matmul(), "y");
         let z = b.add(y, acc, "z");
         let m = b.build(vec![z]);
-        let unfused = simulate(&m, &machine(n)).unwrap();
+        let unfused = Simulation::new(&m, &machine(n)).run().unwrap();
         let fused_module = m
             .with_fusion_groups(vec![FusionGroup { members: vec![y, z], root: z }])
             .unwrap();
-        let fused = simulate(&fused_module, &machine(n)).unwrap();
+        let fused = Simulation::new(&fused_module, &machine(n)).run().unwrap();
         assert!(fused.makespan() < unfused.makespan());
     }
 
@@ -833,13 +723,13 @@ mod tests {
         let m = b.build(vec![c]);
         let mach = machine(1);
         // Reversed (use before def).
-        assert!(simulate_order(&m, &mach, &[c, x]).is_err());
+        assert!(Simulation::new(&m, &mach).order(&[c, x]).run().is_err());
         // Duplicate.
-        assert!(simulate_order(&m, &mach, &[x, x]).is_err());
+        assert!(Simulation::new(&m, &mach).order(&[x, x]).run().is_err());
         // Incomplete.
-        assert!(simulate_order(&m, &mach, &[x]).is_err());
+        assert!(Simulation::new(&m, &mach).order(&[x]).run().is_err());
         // Valid.
-        assert!(simulate_order(&m, &mach, &[x, c]).is_ok());
+        assert!(Simulation::new(&m, &mach).order(&[x, c]).run().is_ok());
     }
 
     #[test]
@@ -859,8 +749,8 @@ mod tests {
         let d2 = b.collective_permute_done(s2, "d2");
         let d3 = b.collective_permute_done(s3, "d3");
         let m = b.build(vec![y, d1, d2, d3]);
-        let constrained = simulate(&m, &mach).unwrap();
-        let unconstrained = simulate(&m, &machine(n)).unwrap();
+        let constrained = Simulation::new(&m, &mach).run().unwrap();
+        let unconstrained = Simulation::new(&m, &machine(n)).run().unwrap();
         assert!(constrained.makespan() >= unconstrained.makespan());
     }
 
@@ -881,37 +771,93 @@ mod tests {
         // Order: compute first, transfer at the tail (exposed in a single
         // run, hidden when repetitions chain).
         let order = vec![x, w, y, s, d];
-        let single = simulate_order(&m, &machine, &order).unwrap();
-        let five = simulate_order_repeated(&m, &machine, &order, 5).unwrap();
-        assert_eq!(
-            simulate_order_repeated(&m, &machine, &order, 1).unwrap().makespan(),
-            single.makespan()
-        );
+        let sim = Simulation::new(&m, &machine).order(&order);
+        let single = sim.run().unwrap();
+        let five = sim.repeated(5).unwrap();
         assert!(five.makespan() <= 5.0 * single.makespan() + 1e-12);
         assert_eq!(five.total_flops(), 5 * single.total_flops());
     }
 
+    /// The laws of the request, over {arena, hand-scheduled order} ×
+    /// {table given, built}: every optional input is orthogonal to every
+    /// other and to the terminal.
     #[test]
-    fn table_reuse_matches_fresh_simulation() {
+    fn simulation_laws() {
         let n = 4;
-        let machine = Machine::tpu_v4_like(n);
         let mut b = Builder::new("m", n);
-        let x = b.parameter(f32s(&[512, 1024]), "x");
+        let x = b.parameter(f32s(&[256, 1024]), "x");
         let w = b.parameter(f32s(&[256, 1024]), "w");
         let wg = b.all_gather(w, 0, ReplicaGroups::full(n), "wg");
-        let y = b.einsum(x, wg, DotDims::new(vec![], vec![(1, 0)]).unwrap(), "y");
         let s = b.collective_permute_start(x, vec![(0, 1), (1, 2), (2, 3), (3, 0)], "s");
+        let y = b.einsum(x, wg, DotDims::new(vec![], vec![(1, 0)]).unwrap(), "y");
         let d = b.collective_permute_done(s, "d");
-        let m = b.build(vec![y, d]);
-        let order = m.arena_order();
-        let table = CostTable::new(&m, &machine).unwrap();
-        let fresh = simulate_order(&m, &machine, &order).unwrap();
-        let cached = simulate_order_with(&table, &m, &machine, &order).unwrap();
-        assert_eq!(fresh, cached);
-        let fresh5 = simulate_order_repeated(&m, &machine, &order, 5).unwrap();
-        let cached5 =
-            simulate_order_repeated_with(&table, &m, &machine, &order, 5).unwrap();
-        assert_eq!(fresh5, cached5);
+        let z = b.add(d, y, "z");
+        let m = b.build(vec![z]);
+        let machine = machine(n);
+        let given = CostTable::new(&m, &machine).unwrap();
+        // The transfer issued first, so it hides under the AllGather.
+        let scheduled = [x, s, w, wg, y, d, z];
+        let noop = FaultSpec::default();
+        let spec = FaultSpec::seeded(7).with_straggler(0, 1.5).with_jitter(1e-4);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for order in [None, Some(&scheduled[..])] {
+            let base = Simulation::new(&m, &machine);
+            let built = order.map_or(base, |o| base.order(o));
+            let pristine = built.run().unwrap();
+            let faulted = built.faults(Some(&spec));
+            for sim in [built, built.table(&given)] {
+                // Given and built tables are the same table: reports
+                // match down to the timeline and the attribution.
+                assert_eq!(sim.run().unwrap(), pristine);
+                assert_eq!(sim.repeated(3).unwrap(), built.repeated(3).unwrap());
+                let under = sim.faults(Some(&spec));
+                assert_eq!(under.run().unwrap(), faulted.run().unwrap());
+                assert_eq!(under.repeated(3).unwrap(), faulted.repeated(3).unwrap());
+                assert_eq!(bits(&under.tail(5).unwrap()), bits(&faulted.tail(5).unwrap()));
+
+                // The no-op spec is the pristine machine.
+                let idle = sim.faults(Some(&noop));
+                assert_eq!(idle.run().unwrap(), pristine);
+                assert!(idle.run().unwrap().fault_attribution().is_zero());
+                assert_eq!(idle.repeated(3).unwrap(), sim.repeated(3).unwrap());
+                assert_eq!(bits(&idle.tail(3).unwrap()), bits(&[pristine.makespan(); 3]));
+                assert_eq!(bits(&sim.tail(3).unwrap()), bits(&[pristine.makespan(); 3]));
+
+                // One repetition is one run; zero of anything is a
+                // matchable error, not a stringly InvalidSchedule.
+                for sim in [sim, under] {
+                    assert_eq!(sim.repeated(1).unwrap(), sim.run().unwrap());
+                    assert_eq!(sim.repeated(0), Err(SimError::ZeroRepetitions));
+                    assert_eq!(sim.tail(0), Err(SimError::ZeroRepetitions));
+                }
+
+                // Draws are independent executions: draw 0 is the
+                // single faulted run (not a continuation), draw i does not
+                // depend on how many draws follow it, per-hop jitter
+                // re-draws per index so the samples actually spread, and
+                // no fault realization beats the pristine machine.
+                let draws = under.tail(8).unwrap();
+                assert_eq!(draws[0].to_bits(), under.run().unwrap().makespan().to_bits());
+                assert_eq!(bits(&draws[..3]), bits(&under.tail(3).unwrap()));
+                assert!(draws.iter().any(|&d| d != draws[0]), "jitter draws must differ");
+                assert!(draws.iter().all(|&d| d >= pristine.makespan()));
+            }
+
+            // The five spellings the benchmark calls by name.
+            let o = order.map_or_else(|| m.arena_order(), <[InstrId]>::to_vec);
+            assert_eq!(simulate_order(&m, &machine, &o).unwrap(), pristine);
+            assert_eq!(simulate_order_with(&given, &m, &machine, &o).unwrap(), pristine);
+            assert_eq!(
+                simulate_order_faulted_with(&given, &m, &machine, &o, &spec).unwrap(),
+                faulted.run().unwrap()
+            );
+            assert_eq!(
+                bits(&simulate_order_tail_with(&given, &m, &machine, &o, &spec, 5).unwrap()),
+                bits(&faulted.tail(5).unwrap())
+            );
+        }
+        assert_eq!(simulate(&m, &machine).unwrap(), Simulation::new(&m, &machine).run().unwrap());
     }
 
     #[test]
@@ -925,7 +871,7 @@ mod tests {
         let x2 = b2.parameter(f32s(&[4]), "x2");
         let m2 = b2.build(vec![x2]);
         let table = CostTable::new(&m2, &machine).unwrap();
-        assert!(simulate_order_with(&table, &m, &machine, &[x, c]).is_err());
+        assert!(Simulation::new(&m, &machine).order(&[x, c]).table(&table).run().is_err());
     }
 
     #[test]
@@ -939,7 +885,7 @@ mod tests {
         let x = b.parameter(f32s(&[1024, 512]), "x");
         let g = b.all_gather(x, 0, ReplicaGroups::full(n), "g");
         let m = b.build(vec![g]);
-        let r = simulate(&m, &machine).unwrap();
+        let r = Simulation::new(&m, &machine).run().unwrap();
         let expect = overlap_mesh::cost::all_gather_time(
             &machine,
             n,
@@ -968,37 +914,10 @@ mod tests {
         let d = b.collective_permute_done(s, "d");
         let z = b.add(d, y, "z");
         let m = b.build(vec![z]);
-        let r = simulate(&m, &machine(n)).unwrap();
+        let r = Simulation::new(&m, &machine(n)).run().unwrap();
         let busy = r.compute_time() + r.memory_time();
         assert!(r.makespan() + 1e-15 >= busy);
         assert!(r.makespan() <= busy + r.comm_time() + r.hidden_async_time() + 1e-12);
-    }
-
-    #[test]
-    fn default_fault_spec_is_bit_identical_to_pristine() {
-        let n = 4;
-        let mut b = Builder::new("m", n);
-        let x = b.parameter(f32s(&[256, 1024]), "x");
-        let w = b.parameter(f32s(&[256, 1024]), "w");
-        let wg = b.all_gather(w, 0, ReplicaGroups::full(n), "wg");
-        let s = b.collective_permute_start(x, vec![(0, 1), (1, 2), (2, 3), (3, 0)], "s");
-        let y = b.einsum(x, wg, DotDims::new(vec![], vec![(1, 0)]).unwrap(), "y");
-        let d = b.collective_permute_done(s, "d");
-        let z = b.add(d, y, "z");
-        let m = b.build(vec![z]);
-        let machine = machine(n);
-        let order = m.arena_order();
-        let pristine = simulate_order(&m, &machine, &order).unwrap();
-        let faulted =
-            simulate_order_faulted(&m, &machine, &order, &FaultSpec::default()).unwrap();
-        // Bit-identical, including the timeline and zero attribution.
-        assert_eq!(pristine, faulted);
-        assert!(faulted.fault_attribution().is_zero());
-        let rp = simulate_order_repeated(&m, &machine, &order, 3).unwrap();
-        let rf =
-            simulate_order_repeated_faulted(&m, &machine, &order, 3, &FaultSpec::default())
-                .unwrap();
-        assert_eq!(rp, rf);
     }
 
     #[test]
@@ -1010,55 +929,14 @@ mod tests {
         let y = b.einsum(x, w, DotDims::matmul(), "y");
         let m = b.build(vec![y]);
         let machine = machine(n);
-        let order = m.arena_order();
-        let pristine = simulate_order(&m, &machine, &order).unwrap();
+        let pristine = Simulation::new(&m, &machine).run().unwrap();
         let spec = FaultSpec::seeded(7).with_straggler(0, 2.0);
-        let slow = simulate_order_faulted(&m, &machine, &order, &spec).unwrap();
+        let slow = Simulation::new(&m, &machine).faults(Some(&spec)).run().unwrap();
         assert!(slow.compute_time() > pristine.compute_time());
         let att = slow.fault_attribution();
         let lost = slow.compute_time() - pristine.compute_time();
         assert!((att.straggler_seconds - lost).abs() < 1e-15);
         assert_eq!(att.stall_retries, 0);
-    }
-
-    #[test]
-    fn tail_draws_are_independent_and_deterministic() {
-        let n = 2;
-        let mut b = Builder::new("m", n);
-        let x = b.parameter(f32s(&[512, 512]), "x");
-        let w = b.parameter(f32s(&[512, 512]), "w");
-        let y = b.einsum(x, w, DotDims::matmul(), "y");
-        let s = b.collective_permute_start(x, vec![(0, 1), (1, 0)], "s");
-        let d = b.collective_permute_done(s, "d");
-        let m = b.build(vec![y, d]);
-        let machine = machine(n);
-        let order = m.arena_order();
-        let spec = FaultSpec::seeded(7).with_jitter(1e-4);
-
-        assert_eq!(
-            simulate_order_tail(&m, &machine, &order, &spec, 0),
-            Err(SimError::ZeroRepetitions)
-        );
-        let draws = simulate_order_tail(&m, &machine, &order, &spec, 16).unwrap();
-        assert_eq!(draws.len(), 16);
-        // Deterministic: the whole sample set replays bit-identically,
-        // and draw i does not depend on how many draws follow it.
-        assert_eq!(draws, simulate_order_tail(&m, &machine, &order, &spec, 16).unwrap());
-        assert_eq!(
-            draws[..4],
-            simulate_order_tail(&m, &machine, &order, &spec, 4).unwrap()[..]
-        );
-        // Independent fresh state per draw: draw 0 is exactly the
-        // single-shot faulted run, not a continuation.
-        let single = simulate_order_faulted(&m, &machine, &order, &spec).unwrap();
-        assert_eq!(draws[0], single.makespan());
-        // Per-hop jitter re-draws per repetition index: the samples
-        // actually spread.
-        assert!(draws.iter().any(|&d| d != draws[0]), "jitter draws must differ");
-        let t = crate::TailSummary::from_samples(&draws);
-        assert_eq!(t.draws, 16);
-        assert!(t.p50 <= t.p90 && t.p90 <= t.p99 && t.p99 <= t.max);
-        assert!(t.min > 0.0);
     }
 
     #[test]
@@ -1070,17 +948,13 @@ mod tests {
         let y = b.einsum(x, w, DotDims::matmul(), "y");
         let m = b.build(vec![y]);
         let machine = machine(n);
-        let order = m.arena_order();
         // A limit below the einsum's runtime trips the watchdog ...
         let tight = FaultSpec::seeded(1).with_time_limit(1e-12);
-        assert_eq!(
-            simulate_order_faulted(&m, &machine, &order, &tight),
-            Err(SimError::Timeout)
-        );
+        assert_eq!(Simulation::new(&m, &machine).faults(Some(&tight)).run(), Err(SimError::Timeout));
         // ... a generous one does not perturb the run at all.
         let loose = FaultSpec::seeded(1).with_time_limit(3600.0);
-        let r = simulate_order_faulted(&m, &machine, &order, &loose).unwrap();
-        assert_eq!(r, simulate_order(&m, &machine, &order).unwrap());
+        let r = Simulation::new(&m, &machine).faults(Some(&loose)).run().unwrap();
+        assert_eq!(r, Simulation::new(&m, &machine).run().unwrap());
     }
 
     #[test]
@@ -1091,42 +965,17 @@ mod tests {
         let c = b.copy(x, "c");
         let m = b.build(vec![c]);
         let machine = machine(n);
-        let order = m.arena_order();
-        let model = FaultModel::new(&machine, &FaultSpec::seeded(1)).unwrap();
+        let spec = FaultSpec::seeded(1);
         // Negative cost: time is charged but the clock never advances.
-        let table = CostTable::from_raw_costs(vec![
-            InstrCost::Free,
-            InstrCost::Compute { seconds: -1.0, flops: 0 },
-        ]);
-        let mut scratch = EngineScratch::for_len(m.len());
-        let got = run_engine(
-            &m,
-            &machine,
-            &order,
-            &table,
-            &mut scratch,
-            &mut EngineState::default(),
-            Some(&model),
-            0,
-        );
-        assert_eq!(got, Err(SimError::Deadlock));
         // Non-finite cost: the clock goes NaN, which also reads as a
         // schedule that can never finish.
-        let table = CostTable::from_raw_costs(vec![
-            InstrCost::Free,
-            InstrCost::Compute { seconds: f64::NAN, flops: 0 },
-        ]);
-        let mut scratch = EngineScratch::for_len(m.len());
-        let got = run_engine(
-            &m,
-            &machine,
-            &order,
-            &table,
-            &mut scratch,
-            &mut EngineState::default(),
-            Some(&model),
-            0,
-        );
-        assert_eq!(got, Err(SimError::Deadlock));
+        for seconds in [-1.0, f64::NAN] {
+            let table = CostTable::from_raw_costs(vec![
+                InstrCost::Free,
+                InstrCost::Compute { seconds, flops: 0 },
+            ]);
+            let got = Simulation::new(&m, &machine).table(&table).faults(Some(&spec)).run();
+            assert_eq!(got, Err(SimError::Deadlock));
+        }
     }
 }

@@ -18,6 +18,12 @@
 //! * fusion groups executed as single kernels (fused elementwise ops are
 //!   free; this is what makes the Fig. 11 fusion decisions matter).
 //!
+//! The one entry point is a [`Simulation`] request: a module and a
+//! machine, three optional inputs (an instruction order, a pre-built
+//! [`CostTable`], a fault spec) and a terminal — `run()` for one
+//! execution, `repeated(reps)` for back-to-back layers, `tail(draws)` for
+//! independent fault realizations.
+//!
 //! The output is a [`Report`] with the makespan, per-category time
 //! breakdown (the Fig. 1 series), FLOPS utilization (Figs. 12/13) and a
 //! renderable [`Timeline`].
@@ -43,11 +49,12 @@ pub use cost::{
     einsum_cost_key, einsum_time_for, instruction_cost, permute_transfer, Direction, InstrCost,
     TransferClass,
 };
+pub use engine::Simulation;
+// Called by name from the frozen benchmark (`ledger/`) only; everything
+// else spells the request as a `Simulation`.
 pub use engine::{
-    simulate, simulate_faulted, simulate_order, simulate_order_faulted,
-    simulate_order_faulted_with, simulate_order_repeated, simulate_order_repeated_faulted,
-    simulate_order_repeated_faulted_with, simulate_order_repeated_with, simulate_order_tail,
-    simulate_order_tail_with, simulate_order_with,
+    simulate, simulate_order, simulate_order_faulted_with, simulate_order_tail_with,
+    simulate_order_with,
 };
 pub use error::SimError;
 pub use faults::FaultModel;

@@ -1,10 +1,9 @@
 //! Simulation reports and timeline rendering.
 
 use overlap_json::{Json, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Which lane of the device a span occupied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// Compute-bound work (einsum, fusion) on the compute stream.
     Compute,
@@ -21,7 +20,7 @@ pub enum SpanKind {
 }
 
 /// One timed interval in the simulated execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Instruction (or group) name.
     pub name: String,
@@ -42,7 +41,7 @@ impl Span {
 }
 
 /// All spans of a simulated execution, renderable as ASCII art.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     /// The spans in issue order.
     pub spans: Vec<Span>,
@@ -206,7 +205,7 @@ impl ToJson for Report {
 
 /// Where a degraded run lost time relative to the pristine machine,
 /// accumulated by the engine's fault path (all zero on fault-free runs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultAttribution {
     /// Extra compute/memory time charged by straggler chips, seconds.
     pub straggler_seconds: f64,
@@ -245,7 +244,7 @@ impl ToJson for FaultAttribution {
 
 /// Outcome of a simulation: the makespan, the Fig.-1-style time breakdown
 /// and the FLOPS bookkeeping, plus the full [`Timeline`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     makespan: f64,
     compute_time: f64,
@@ -257,7 +256,6 @@ pub struct Report {
     timeline: Timeline,
     /// Fault attribution; stays at its (all-zero) default on fault-free
     /// runs so serialized fault-free reports are unchanged.
-    #[serde(default, skip_serializing_if = "FaultAttribution::is_zero")]
     fault: FaultAttribution,
 }
 

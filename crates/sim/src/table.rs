@@ -7,9 +7,8 @@
 //! costs from scratch each time. A [`CostTable`] folds that work into one
 //! pass: a dense `Vec<InstrCost>` indexed by [`InstrId`], plus dense
 //! fusion-group membership and per-group aggregate costs, computed once
-//! and shared by every subsequent [`simulate_order_with`] call.
-//!
-//! [`simulate_order_with`]: crate::simulate_order_with
+//! and shared by every subsequent [`Simulation`](crate::Simulation) that
+//! is handed it via [`table`](crate::Simulation::table).
 
 use overlap_hlo::{InstrId, Module, ModuleAnalysis};
 use overlap_mesh::Machine;

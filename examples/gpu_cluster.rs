@@ -10,7 +10,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::mesh::Machine;
 use overlap::models::table2_models;
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn main() {
     println!("GPT family on the GPU-cluster (NVLink-like) machine preset\n");
@@ -19,12 +19,11 @@ fn main() {
         let module = cfg.layer_module();
         // square_ish(chips) matches the model's own 2-D mesh layout.
         let machine = Machine::gpu_cluster_like(cfg.chips);
-        let baseline = simulate(&module, &machine).expect("baseline");
+        let baseline = Simulation::new(&module, &machine).run().expect("baseline");
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&module, &machine)
             .expect("pipeline");
-        let over =
-            simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+        let over = compiled.simulation(&machine).run().expect("simulate");
         println!(
             "{:<10} {:>6} {:>11.1}% {:>9.1}% {:>7.2}x",
             cfg.name,

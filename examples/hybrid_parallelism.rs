@@ -15,7 +15,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::models::hybrid::sweep_hybrid;
 use overlap::models::{Arch, ModelConfig, PartitionStrategy};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn main() {
     let cfg = ModelConfig {
@@ -33,16 +33,14 @@ fn main() {
     let microbatches = 8;
 
     let baseline = sweep_hybrid(&cfg, microbatches, |c, m| {
-        Ok(simulate(&c.layer_module(), m).expect("baseline sim").makespan())
+        Ok(Simulation::new(&c.layer_module(), m).run().expect("baseline sim").makespan())
     })
     .expect("baseline sweep");
 
     let overlapped = sweep_hybrid(&cfg, microbatches, |c, m| {
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&c.layer_module(), m)?;
-        Ok(simulate_order(&compiled.module, m, &compiled.order)
-            .expect("overlapped sim")
-            .makespan())
+        Ok(compiled.simulation(m).run().expect("overlapped sim").makespan())
     })
     .expect("overlapped sweep");
 

@@ -8,7 +8,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn main() {
     let n = 2;
@@ -26,12 +26,11 @@ fn main() {
     let module = b.build(vec![x]);
 
     let machine = Machine::with_mesh(DeviceMesh::ring(n));
-    let baseline = simulate(&module, &machine).expect("baseline");
+    let baseline = Simulation::new(&module, &machine).run().expect("baseline");
     let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&module, &machine)
         .expect("pipeline");
-    let overlapped =
-        simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+    let overlapped = compiled.simulation(&machine).run().expect("simulate");
 
     println!("request batch {batch}, width {width}, {layers} layers, {n}-way partitioned");
     println!("baseline latency:   {:>8.3} ms", baseline.makespan() * 1e3);

@@ -11,7 +11,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::hlo::{module_stats, to_dot, Builder, DType, DotDims, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
-use overlap::sim::{memory_profile, simulate_order};
+use overlap::sim::memory_profile;
 
 fn main() {
     let n = 4;
@@ -47,8 +47,7 @@ fn main() {
         sched_mem.peak_bytes as f64 / 1e6
     );
 
-    let report =
-        simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+    let report = compiled.simulation(&machine).run().expect("simulate");
     println!("\nsimulated timeline ({:.3} ms):", report.makespan() * 1e3);
     println!("{}", report.timeline().render(76));
 

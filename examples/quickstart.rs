@@ -8,7 +8,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn main() {
     // Four devices in a ring; an [8192, 4096] activation multiplies a
@@ -25,7 +25,7 @@ fn main() {
     let machine = Machine::with_mesh(DeviceMesh::ring(n));
 
     // Baseline: the AllGather blocks, the einsum waits.
-    let baseline = simulate(&module, &machine).expect("baseline simulation");
+    let baseline = Simulation::new(&module, &machine).run().expect("baseline simulation");
     println!("baseline   : {:>8.3} ms", baseline.makespan() * 1e3);
     println!("{}\n", baseline.timeline().render(76));
 
@@ -33,8 +33,7 @@ fn main() {
     let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&module, &machine)
         .expect("pipeline");
-    let overlapped =
-        simulate_order(&compiled.module, &machine, &compiled.order).expect("simulation");
+    let overlapped = compiled.simulation(&machine).run().expect("simulation");
     println!("overlapped : {:>8.3} ms", overlapped.makespan() * 1e3);
     println!("{}\n", overlapped.timeline().render(76));
 

@@ -9,11 +9,11 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn show(title: &str, module: &Module, machine: &Machine) {
     println!("==== {title} ====");
-    let baseline = simulate(module, machine).expect("baseline");
+    let baseline = Simulation::new(module, machine).run().expect("baseline");
     println!("original   ({:.3} ms):", baseline.makespan() * 1e3);
     println!("{}", baseline.timeline().render(72));
     // Figs. 4/5 show the plain unidirectional loop.
@@ -23,8 +23,7 @@ fn show(title: &str, module: &Module, machine: &Machine) {
     ))
     .run(module, machine)
     .expect("pipeline");
-    let overlapped =
-        simulate_order(&compiled.module, machine, &compiled.order).expect("simulate");
+    let overlapped = compiled.simulation(machine).run().expect("simulate");
     println!("overlapped ({:.3} ms):", overlapped.makespan() * 1e3);
     println!("{}", overlapped.timeline().render(72));
     println!(

@@ -17,7 +17,7 @@ use overlap::hlo::{gradients, Builder, DType, DotDims, Op, Shape};
 use overlap::mesh::{Axis, DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
 use overlap::sharding::{partition_module, TensorSharding};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn main() {
     // 1. Dense two-layer MLP (f32 keeps the numeric check exact; the
@@ -59,12 +59,11 @@ fn main() {
 
     // 4. Overlap pipeline + simulation.
     let machine = Machine::with_mesh(mesh.clone());
-    let baseline = simulate(&spmd.module, &machine).expect("baseline");
+    let baseline = Simulation::new(&spmd.module, &machine).run().expect("baseline");
     let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&spmd.module, &machine)
         .expect("pipeline");
-    let overlapped =
-        simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+    let overlapped = compiled.simulation(&machine).run().expect("simulate");
     println!(
         "step time: {:.3} ms -> {:.3} ms ({:.2}x), {} patterns decomposed",
         baseline.makespan() * 1e3,

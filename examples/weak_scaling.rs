@@ -8,7 +8,7 @@
 
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::models::{Arch, ModelConfig, PartitionStrategy};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn config(chips: usize, model_dim: usize) -> ModelConfig {
     ModelConfig {
@@ -31,12 +31,11 @@ fn main() {
         let cfg = config(chips, dim);
         let module = cfg.layer_module();
         let machine = cfg.machine();
-        let base = simulate(&module, &machine).expect("baseline");
+        let base = Simulation::new(&module, &machine).run().expect("baseline");
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&module, &machine)
             .expect("pipeline");
-        let over =
-            simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+        let over = compiled.simulation(&machine).run().expect("simulate");
         println!(
             "{:<14} {:>6} {:>9.3} ms {:>9.3} ms {:>8.2}x",
             cfg.name,

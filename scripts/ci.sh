@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: build + tests (tier 1), lint at deny level (including the
+# CI gate: build + tests (tier 1), the benchmark package (ledger/) built
+# and tested the way the benchmark builds it, lint at deny level (including the
 # clippy::perf group, denied workspace-wide via [workspace.lints]), keep
 # the criterion benches compiling so the harness can't rot, the
 # compile-throughput regression gate, and a serve smoke: a real
@@ -29,6 +30,29 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The benchmark (BENCHMARK.json -> ledger/run.sh) is a workspace of its
+# own that compiles these crates from source: a rename that breaks it
+# must fail here, not in the benchmark pipeline.
+echo "==> ledger: build + test what the benchmark builds"
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test --release --offline --manifest-path ledger/Cargo.toml
+
+# ledger/ calls five simulate* functions by name; everything else spells
+# the request as a `Simulation`. They may appear only where they are
+# defined and re-exported, and the seven deleted spellings nowhere.
+# (`simulate` alone is also an English word: only its call form counts.)
+echo "==> simulate* names: five kept for ledger/ only, seven gone"
+kept='simulate_order|simulate_order_with|simulate_order_faulted_with|simulate_order_tail_with'
+gone='simulate_faulted|simulate_order_faulted|simulate_order_repeated|simulate_order_repeated_with|simulate_order_repeated_faulted|simulate_order_repeated_faulted_with|simulate_order_tail'
+stray=$(grep -rnE "\<($kept)\>|\<simulate\(" crates src tests examples \
+    | grep -vE '^crates/sim/src/(engine|lib)\.rs:' || true)
+dead=$(grep -rnwE "$gone" crates src tests examples || true)
+if [ -n "$stray$dead" ]; then
+    echo "FAIL: simulate* spellings outside crates/sim/src/{engine,lib}.rs (or deleted ones anywhere):"
+    printf '%s\n' "$stray" "$dead"
+    exit 1
+fi
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -22,7 +22,7 @@
 //! use overlap::core::{OverlapOptions, OverlapPipeline};
 //! use overlap::hlo::{Builder, DType, DotDims, ReplicaGroups, Shape};
 //! use overlap::mesh::Machine;
-//! use overlap::sim::simulate;
+//! use overlap::sim::Simulation;
 //!
 //! // A 4-way partitioned AllGather -> Einsum pair.
 //! let n = 4;
@@ -36,8 +36,8 @@
 //! let machine = Machine::tpu_v4_like(n);
 //! let pipeline = OverlapPipeline::new(OverlapOptions::default());
 //! let compiled = pipeline.run(&module, &machine).unwrap();
-//! let baseline = simulate(&module, &machine).unwrap();
-//! let overlapped = simulate(&compiled.module, &machine).unwrap();
+//! let baseline = Simulation::new(&module, &machine).run().unwrap();
+//! let overlapped = compiled.simulation(&machine).run().unwrap();
 //! assert!(overlapped.makespan() <= baseline.makespan());
 //! ```
 

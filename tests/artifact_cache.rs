@@ -13,8 +13,7 @@ use overlap::core::{ArtifactCache, Compiled, OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap::mesh::Machine;
 use overlap::models::{Arch, ModelConfig, PartitionStrategy};
-use overlap::sim::simulate_order_with;
-use overlap_bench::{run_comparisons, run_comparisons_cached};
+use overlap_bench::run_comparisons;
 use overlap_json::ToJson;
 
 fn demo_module(n: usize) -> Module {
@@ -34,10 +33,8 @@ fn assert_bit_identical(cold: &Compiled, hit: &Compiled, machine: &Machine) {
     assert_eq!(cold.order, hit.order);
     assert_eq!(cold.summaries, hit.summaries);
     assert_eq!(cold.decisions, hit.decisions);
-    let a = simulate_order_with(&cold.cost_table, &cold.module, machine, &cold.order)
-        .expect("cold simulates");
-    let b = simulate_order_with(&hit.cost_table, &hit.module, machine, &hit.order)
-        .expect("hit simulates");
+    let a = cold.simulation(machine).run().expect("cold simulates");
+    let b = hit.simulation(machine).run().expect("hit simulates");
     assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
 }
 
@@ -112,10 +109,10 @@ fn rayon_sweep_with_warm_cache_is_byte_identical_to_uncached() {
             strategy: PartitionStrategy::TwoD,
         })
         .collect();
-    let uncached = run_comparisons(&cfgs).to_json().to_string();
+    let uncached = run_comparisons(&cfgs, &ArtifactCache::disabled()).to_json().to_string();
     let cache = ArtifactCache::in_memory();
-    let cold = run_comparisons_cached(&cfgs, &cache).to_json().to_string();
-    let warm = run_comparisons_cached(&cfgs, &cache).to_json().to_string();
+    let cold = run_comparisons(&cfgs, &cache).to_json().to_string();
+    let warm = run_comparisons(&cfgs, &cache).to_json().to_string();
     assert_eq!(uncached, cold);
     assert_eq!(uncached, warm);
     assert_eq!(cache.stats().misses, cfgs.len() as u64);

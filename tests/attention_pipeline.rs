@@ -9,7 +9,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::models::{build_attention_layer, Arch, ModelConfig, PartitionStrategy};
 use overlap::numerics::{run_spmd, Literal};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn cfg(model_dim: usize, ff: usize, batch: usize, seq: usize, chips: usize) -> ModelConfig {
     ModelConfig {
@@ -31,11 +31,11 @@ fn pipeline_speeds_up_attention_layer() {
     let c = cfg(4096, 16384, 256, 256, 16);
     let module = build_attention_layer(&c, 32).expect("attention layer");
     let machine = c.machine();
-    let baseline = simulate(&module, &machine).expect("baseline");
+    let baseline = Simulation::new(&module, &machine).run().expect("baseline");
     let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&module, &machine)
         .expect("pipeline");
-    let over = simulate_order(&compiled.module, &machine, &compiled.order).expect("sim");
+    let over = compiled.simulation(&machine).run().expect("sim");
     let speedup = baseline.makespan() / over.makespan();
     assert!(
         speedup > 1.02,
@@ -55,13 +55,11 @@ fn gate_keeps_attention_layer_non_regressing() {
         let c = cfg(d, f, b, s, 16);
         let module = build_attention_layer(&c, 16).expect("attention layer");
         let machine = c.machine();
-        let baseline = simulate(&module, &machine).expect("baseline").makespan();
+        let baseline = Simulation::new(&module, &machine).run().expect("baseline").makespan();
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&module, &machine)
             .expect("pipeline");
-        let over = simulate_order(&compiled.module, &machine, &compiled.order)
-            .expect("sim")
-            .makespan();
+        let over = compiled.simulation(&machine).run().expect("sim").makespan();
         assert!(
             over <= baseline * 1.06,
             "gate let a regression through at d={d}: {:.3} ms -> {:.3} ms",

@@ -4,7 +4,6 @@
 use overlap::core::{OverlapOptions, OverlapPipeline};
 use overlap::hlo::Op;
 use overlap::models::{Arch, ModelConfig, PartitionStrategy};
-use overlap::sim::simulate_order;
 
 fn cfg() -> ModelConfig {
     ModelConfig {
@@ -91,8 +90,8 @@ fn simulation_is_deterministic() {
     let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&module, &machine)
         .expect("pipeline");
-    let a = simulate_order(&compiled.module, &machine, &compiled.order).expect("sim");
-    let b = simulate_order(&compiled.module, &machine, &compiled.order).expect("sim");
+    let a = compiled.simulation(&machine).run().expect("sim");
+    let b = compiled.simulation(&machine).run().expect("sim");
     assert_eq!(a, b, "same module + order must give identical reports");
 }
 

@@ -13,7 +13,7 @@ use overlap::core::{ArtifactCache, CompileReport, OverlapOptions, OverlapPipelin
 use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, FaultSpec, Machine};
 use overlap::sharding::mlp::{fig3_forward, MlpConfig};
-use overlap::sim::{par_map, simulate, simulate_faulted, simulate_order_faulted_with};
+use overlap::sim::{par_map, Simulation};
 use overlap_json::ToJson;
 use proptest::prelude::*;
 
@@ -52,14 +52,8 @@ fn faulted_report_bytes(
         .with_faults(spec.clone())
         .compile_cached(module, machine, cache)
         .expect("faulted compile");
-    let report = simulate_order_faulted_with(
-        &compiled.cost_table,
-        &compiled.module,
-        machine,
-        &compiled.order,
-        spec,
-    )
-    .expect("faulted simulation");
+    let report =
+        compiled.simulation(machine).faults(Some(spec)).run().expect("faulted simulation");
     let fallbacks = compiled.fallbacks.iter().map(|f| format!("{}: {}", f.einsum, f.reason));
     (report.to_json().to_string(), fallbacks.collect())
 }
@@ -142,8 +136,10 @@ fn default_spec_is_bit_identical_on_sampled_modules() {
             let cfg = MlpConfig { batch: 12 * mult, feature: 12 * mult, hidden: 24 * mult };
             let module = fig3_forward(&mesh, cfg).expect("builds");
             let machine = Machine::with_mesh(mesh);
-            let pristine = simulate(&module, &machine).expect("pristine");
-            let faulted = simulate_faulted(&module, &machine, &FaultSpec::default())
+            let pristine = Simulation::new(&module, &machine).run().expect("pristine");
+            let faulted = Simulation::new(&module, &machine)
+                .faults(Some(&FaultSpec::default()))
+                .run()
                 .expect("noop faulted");
             assert_eq!(
                 pristine.to_json().to_string(),
@@ -176,9 +172,11 @@ proptest! {
         };
         let module = fig3_forward(&mesh, cfg).expect("builds");
         let machine = Machine::with_mesh(mesh);
-        let pristine = simulate(&module, &machine).expect("pristine");
-        let faulted =
-            simulate_faulted(&module, &machine, &FaultSpec::default()).expect("noop faulted");
+        let pristine = Simulation::new(&module, &machine).run().expect("pristine");
+        let faulted = Simulation::new(&module, &machine)
+            .faults(Some(&FaultSpec::default()))
+            .run()
+            .expect("noop faulted");
         prop_assert_eq!(
             pristine.to_json().to_string(),
             faulted.to_json().to_string()

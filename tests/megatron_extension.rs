@@ -7,7 +7,7 @@ use overlap::core::{split_all_reduces, OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, Module, Op, ReplicaGroups, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn bf16(dims: &[usize]) -> Shape {
     Shape::new(DType::BF16, dims.to_vec())
@@ -84,7 +84,7 @@ fn split_pipeline_beats_unsplit_on_megatron() {
     let n = 8;
     let m = megatron_block(n, 8192, 4096, 16384);
     let machine = Machine::with_mesh(DeviceMesh::ring(n));
-    let baseline = simulate(&m, &machine).expect("baseline");
+    let baseline = Simulation::new(&m, &machine).run().expect("baseline");
 
     let unsplit = OverlapPipeline::new(OverlapOptions::paper_default())
         .run(&m, &machine)
@@ -105,7 +105,7 @@ fn split_pipeline_beats_unsplit_on_megatron() {
         split.module.count_live(|i| matches!(i.op(), Op::AllReduce { .. })),
         0
     );
-    let over = simulate_order(&split.module, &machine, &split.order).expect("simulate");
+    let over = split.simulation(&machine).run().expect("simulate");
     assert!(
         over.makespan() < baseline.makespan(),
         "overlap {:.4e} vs baseline {:.4e}",

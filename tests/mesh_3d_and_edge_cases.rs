@@ -9,7 +9,7 @@ use overlap::core::{
 use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
@@ -123,8 +123,8 @@ fn einsum_with_gather_and_scatter_through_pipeline() {
     assert_eq!(compiled.summaries.len(), 1, "one pattern per einsum");
     assert_equivalent(&m, &compiled.module);
 
-    let base = simulate(&m, &machine).expect("baseline");
-    let over = simulate_order(&compiled.module, &machine, &compiled.order).expect("sim");
+    let base = Simulation::new(&m, &machine).run().expect("baseline");
+    let over = compiled.simulation(&machine).run().expect("sim");
     // Ungated on a toy shape may or may not win, but must stay sane.
     assert!(over.makespan() <= base.makespan() * 2.0);
 }

@@ -3,7 +3,7 @@
 use overlap::core::{OverlapOptions, OverlapPipeline, SchedulerKind};
 use overlap::hlo::Op;
 use overlap::models::{Arch, ModelConfig, PartitionStrategy};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn small_config(chips: usize, arch: Arch, strategy: PartitionStrategy) -> ModelConfig {
     ModelConfig {
@@ -42,12 +42,11 @@ fn gated_pipeline_never_regresses() {
     for cfg in configs() {
         let module = cfg.layer_module();
         let machine = cfg.machine();
-        let base = simulate(&module, &machine).expect("baseline");
+        let base = Simulation::new(&module, &machine).run().expect("baseline");
         let compiled = OverlapPipeline::new(OverlapOptions::paper_default())
             .run(&module, &machine)
             .expect("pipeline");
-        let over =
-            simulate_order(&compiled.module, &machine, &compiled.order).expect("simulate");
+        let over = compiled.simulation(&machine).run().expect("simulate");
         let slack =
             if matches!(cfg.strategy, PartitionStrategy::OneD) { 1.12 } else { 1.06 };
         assert!(
@@ -67,7 +66,7 @@ fn schedulers_preserve_work() {
     for cfg in configs().into_iter().take(3) {
         let module = cfg.layer_module();
         let machine = cfg.machine();
-        let base = simulate(&module, &machine).expect("baseline");
+        let base = Simulation::new(&module, &machine).run().expect("baseline");
         let mut flops = Vec::new();
         for sched in [SchedulerKind::BottomUp, SchedulerKind::TopDown] {
             let compiled = OverlapPipeline::new(OverlapOptions {
@@ -76,8 +75,7 @@ fn schedulers_preserve_work() {
             })
             .run(&module, &machine)
             .expect("pipeline");
-            let r = simulate_order(&compiled.module, &machine, &compiled.order)
-                .expect("simulate");
+            let r = compiled.simulation(&machine).run().expect("simulate");
             flops.push(r.total_flops());
         }
         assert_eq!(flops[0], flops[1], "{}: schedulers disagree on work", cfg.name);
@@ -144,7 +142,7 @@ fn overlap_aware_fusion_not_slower() {
     let mut makespans = Vec::new();
     for aware in [true, false] {
         let fused = fuse(&compiled.module, &FusionOptions { overlap_aware: aware });
-        let r = simulate_order(&fused, &machine, &compiled.order).expect("simulate");
+        let r = Simulation::new(&fused, &machine).order(&compiled.order).run().expect("simulate");
         makespans.push(r.makespan());
     }
     assert!(
@@ -173,12 +171,10 @@ fn gate_protects_comm_bound_configs() {
     })
     .run(&module, &machine)
     .expect("pipeline");
-    let r_gated =
-        simulate_order(&gated.module, &machine, &gated.order).expect("simulate");
-    let r_ungated =
-        simulate_order(&ungated.module, &machine, &ungated.order).expect("simulate");
+    let r_gated = gated.simulation(&machine).run().expect("simulate");
+    let r_ungated = ungated.simulation(&machine).run().expect("simulate");
     assert!(gated.summaries.len() <= ungated.summaries.len());
-    let base = simulate(&module, &machine).expect("baseline").makespan();
+    let base = Simulation::new(&module, &machine).run().expect("baseline").makespan();
     assert!(
         r_gated.makespan() <= base * 1.06,
         "gated {:.4e} vs baseline {:.4e}",

@@ -1,6 +1,6 @@
 //! Properties of the structural fingerprint behind the artifact cache.
 //!
-//! The cache key must be (1) stable across serde round-trips, (2) stable
+//! The cache key must be (1) stable across JSON round-trips, (2) stable
 //! under renaming (names are reporting metadata; the cache separately
 //! guards exact identity before serving a hit), and (3) sensitive to
 //! every structural edit — the same corruption catalogue that

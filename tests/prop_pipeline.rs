@@ -11,7 +11,6 @@ use overlap::hlo::Module;
 use overlap::mesh::{DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
 use overlap::sharding::mlp::{fig3_forward, MlpConfig};
-use overlap::sim::simulate_order;
 use proptest::prelude::*;
 
 fn inputs_for(module: &Module, seed: u64) -> Vec<Vec<Literal>> {
@@ -68,8 +67,7 @@ proptest! {
         prop_assert!(!compiled.summaries.is_empty());
 
         // The schedule simulates (validity) …
-        let report =
-            simulate_order(&compiled.module, &machine, &compiled.order).expect("simulates");
+        let report = compiled.simulation(&machine).run().expect("simulates");
         prop_assert!(report.makespan() > 0.0);
 
         // … and the program still computes the same values.

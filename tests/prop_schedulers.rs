@@ -12,7 +12,7 @@ use overlap::core::{
 };
 use overlap::hlo::{Builder, DType, DotDims, InstrId, LayerTags, Module, ModuleAnalysis, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
-use overlap::sim::{memory_profile, simulate, simulate_order, CostTable};
+use overlap::sim::{memory_profile, CostTable, Simulation};
 use proptest::prelude::*;
 
 fn f32s(dims: &[usize]) -> Shape {
@@ -190,7 +190,7 @@ proptest! {
         let module = random_module(n, ops, seed);
         module.verify().expect("random module verifies");
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let baseline = simulate(&module, &machine).expect("baseline simulates");
+        let baseline = Simulation::new(&module, &machine).run().expect("baseline simulates");
         // Both schedulers are heuristics tuned for the decomposition's
         // loop structure; on adversarial random DAGs a regression versus
         // the input order is possible. What always holds is the sound
@@ -201,8 +201,8 @@ proptest! {
             schedule_top_down(&module, &machine),
         ] {
             prop_assert_eq!(schedule.len(), module.len());
-            // simulate_order validates completeness + topology.
-            let r = simulate_order(&module, &machine, &schedule).expect("valid order");
+            // The simulator validates completeness + topology.
+            let r = Simulation::new(&module, &machine).order(&schedule).run().expect("valid order");
             let worst = (baseline.compute_time() + baseline.memory_time())
                 * (1.0 + machine.dma_interference())
                 + baseline.sync_comm_time()
@@ -315,15 +315,15 @@ proptest! {
         let tags = LayerTags::of(&module);
         let table = CostTable::new(&module, &machine).expect("cost table");
         let analysis = ModuleAnalysis::of(&module);
-        let baseline = simulate(&module, &machine).expect("baseline simulates");
+        let baseline = Simulation::new(&module, &machine).run().expect("baseline simulates");
         let ctx = ScheduleContext::new(&table, &analysis, &module, &machine)
             .with_window(ScheduleWindow::new(&tags, window));
         let bu = schedule_bottom_up_ctx(&ctx, &module, &machine);
         let td = schedule_top_down_ctx(&ctx, &module, &machine);
         for order in [&bu, &td] {
             prop_assert_eq!(order.len(), module.len());
-            // simulate_order validates completeness + topology.
-            let r = simulate_order(&module, &machine, order).expect("valid order");
+            // The simulator validates completeness + topology.
+            let r = Simulation::new(&module, &machine).order(order).run().expect("valid order");
             prop_assert_eq!(r.total_flops(), baseline.total_flops());
         }
         if (tags.num_layers() as usize) > window {

@@ -14,7 +14,7 @@ use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
 use overlap::json::{FromJson, Json, ToJson};
 use overlap::mesh::Machine;
 use overlap::numerics::{run_spmd, Literal};
-use overlap::sim::{simulate, simulate_order};
+use overlap::sim::Simulation;
 
 fn demo_module(n: usize) -> Module {
     let mut b = Builder::new("roundtrip_demo", n);
@@ -52,8 +52,8 @@ fn compiled_module_roundtrip_preserves_simulation() {
     back.verify().expect("compiled roundtrip verifies");
     assert_eq!(compiled.module, back);
 
-    let a = simulate_order(&compiled.module, &machine, &compiled.order).expect("sim");
-    let b = simulate_order(&back, &machine, &compiled.order).expect("sim");
+    let a = compiled.simulation(&machine).run().expect("sim");
+    let b = Simulation::new(&back, &machine).order(&compiled.order).run().expect("sim");
     assert_eq!(a.makespan(), b.makespan());
 }
 
@@ -144,7 +144,7 @@ fn verify_rejects_zero_partitions() {
 fn chrome_trace_is_valid_json() {
     let m = demo_module(8);
     let machine = Machine::tpu_v4_like(8);
-    let report = simulate(&m, &machine).expect("sim");
+    let report = Simulation::new(&m, &machine).run().expect("sim");
     let trace = report.timeline().to_chrome_trace();
     let parsed = Json::parse(&trace).expect("trace parses");
     let events = parsed
@@ -162,7 +162,7 @@ fn chrome_trace_is_valid_json() {
 fn report_serializes() {
     let m = demo_module(8);
     let machine = Machine::tpu_v4_like(8);
-    let report = simulate(&m, &machine).expect("sim");
+    let report = Simulation::new(&m, &machine).run().expect("sim");
     let text = report.to_json().to_string();
     assert!(text.contains("makespan"));
 }

@@ -12,6 +12,8 @@
 //!   matching job is in flight join that job instead of dispatching
 //!   their own; with one pool worker the join counts are exact, not
 //!   racy.
+//! * **Served times** — no response, a coalesced joiner's included,
+//!   reports more queue + service time than its client waited.
 //! * **Drain** — a shutdown queued behind pipelined compiles answers
 //!   every request already admitted, then refuses new work.
 //! * **Record/replay** — the `--record` JSON stream parsed back
@@ -23,6 +25,7 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Instant;
 
 use overlap_core::{ArtifactCache, OverlapOptions};
 use overlap_hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
@@ -200,6 +203,79 @@ fn batch_coalescing_is_exact_with_one_worker() {
 
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
+}
+
+#[test]
+fn served_times_never_exceed_client_latency() {
+    let collect = Arc::new(CollectObserver::default());
+    let config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, queue_depth: 16 };
+    let observers = vec![Arc::clone(&collect) as Arc<dyn EventObserver>];
+    let server =
+        Server::bind_with_observers(&config, ArtifactCache::in_memory(), observers).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || server.run());
+
+    let req = request("served_times", 192);
+    // Roughly how long the job runs: spaces the late joiners inside it.
+    let started = Instant::now();
+    oracle(&req);
+    let job = started.elapsed();
+
+    // The leader and one joiner in a single burst (that one joins at
+    // once and waits the whole job), then four more identical requests
+    // spread across the job's run. Each of those joins a job already
+    // under way, so it waits for only the rest of it — or lands after
+    // completion and is a memory hit; the bound below holds either way,
+    // the spacing only decides how many late joiners exercise it.
+    let compile = Request::Compile(Box::new(req));
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = FrameReader::new();
+    let mut sent = vec![Instant::now(); 2];
+    send_burst(&mut stream, &[compile.clone(), compile.clone()]);
+    for _ in 0..4 {
+        std::thread::sleep(job / 6);
+        sent.push(Instant::now());
+        send_burst(&mut stream, std::slice::from_ref(&compile));
+    }
+
+    let mut served = Vec::new();
+    for (i, sent) in sent.iter().enumerate() {
+        let Response::Compiled(c) = recv_response(&mut stream, &mut reader) else {
+            panic!("response {i} was not a compile");
+        };
+        let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
+        let (queue_ms, service_ms) = (c.served.queue_ms, c.served.service_ms);
+        assert!(queue_ms >= 0.0 && service_ms >= 0.0, "response {i}: negative time");
+        assert!(
+            queue_ms + service_ms <= latency_ms,
+            "response {i} ({}): queue {queue_ms} + service {service_ms} ms exceeds the \
+             {latency_ms} ms its client waited",
+            c.served.source
+        );
+        served.push((c.served.source.clone(), queue_ms, service_ms));
+    }
+    assert_eq!(served[0].0, "compiled");
+    assert_eq!(served[1].0, "coalesced", "the burst's second request joins the first");
+    drop(stream);
+
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.join().unwrap().unwrap();
+
+    // The event stream carries the same pair the response did.
+    let done: Vec<(f64, f64)> = collect
+        .snapshot()
+        .into_iter()
+        .filter_map(|record| match record.event {
+            ServeEvent::Done { kind, queue_ms, compile_ms, .. } if kind == "compile" => {
+                Some((queue_ms, compile_ms))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(done.len(), served.len());
+    for ((_, queue_ms, service_ms), (done_queue, done_service)) in served.iter().zip(&done) {
+        assert!((queue_ms - done_queue).abs() < 1e-6 && (service_ms - done_service).abs() < 1e-6);
+    }
 }
 
 #[test]

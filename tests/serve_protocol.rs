@@ -31,7 +31,6 @@ use overlap_serve::{
     FrameReader, LatencySummary, MachineSpec, ModelRef, Request, Response, ServeConfig, Server,
     ServedInfo, StatsResponse, WireError, PROTOCOL_VERSION,
 };
-use overlap_sim::simulate_order;
 
 /// A small 4-way layer that exercises decomposition without the cost
 /// of a Table-1 workload. The row count varies with `name`: the
@@ -444,8 +443,7 @@ fn concurrent_clients_get_byte_identical_deduped_responses() {
             let pipeline = OverlapPipeline::new(OverlapOptions::paper_default());
             let compiled =
                 pipeline.compile_cached(&module, &machine, &ArtifactCache::in_memory()).unwrap();
-            let over =
-                simulate_order(&compiled.module, &machine, &compiled.order).unwrap();
+            let over = compiled.simulation(&machine).run().unwrap();
             assert_eq!(result.order_len, compiled.order.len());
             assert_eq!(result.overlapped.makespan.to_bits(), over.makespan().to_bits());
             result.to_json().to_string()
