@@ -13,7 +13,7 @@ use overlap_bench::{or_exit, write_json};
 use overlap_core::{fuse, schedule_bottom_up, FusionOptions};
 use overlap_hlo::{Builder, DType, DotDims, Module, Shape};
 use overlap_mesh::{DeviceMesh, Machine};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_sim::Simulation;
 
 /// The Fig. 11 graph at a given matmul width.
@@ -38,15 +38,7 @@ struct Row {
     improvement: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("dim", self.dim as u64)
-            .with("default_fusion_ms", self.default_fusion_ms)
-            .with("overlap_aware_ms", self.overlap_aware_ms)
-            .with("improvement", self.improvement)
-    }
-}
+json_record!(encode Row { dim, default_fusion_ms, overlap_aware_ms, improvement });
 
 fn main() {
     println!("Figure 11: default vs overlap-aware fusion on the Add-of-two-einsums graph");

@@ -6,7 +6,7 @@
 
 use overlap_bench::{artifact_cache, report_cache, run_baseline, run_overlapped, write_json};
 use overlap_core::{OverlapOptions, StrategySpec};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_models::table2_models;
 
 struct Row {
@@ -15,14 +15,7 @@ struct Row {
     normalized_unrolled: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("normalized_no_unroll", self.normalized_no_unroll)
-            .with("normalized_unrolled", self.normalized_unrolled)
-    }
-}
+json_record!(encode Row { model, normalized_no_unroll, normalized_unrolled });
 
 fn main() {
     println!("Figure 14: performance improvements provided by loop unrolling");

@@ -7,7 +7,7 @@
 
 use overlap_bench::{run_baseline, run_overlapped, write_json};
 use overlap_core::{ArtifactCache, OverlapOptions, RingDirection, StrategySpec};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_models::table2_models;
 
 struct Row {
@@ -16,14 +16,7 @@ struct Row {
     normalized_bidirectional: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("normalized_unidirectional", self.normalized_unidirectional)
-            .with("normalized_bidirectional", self.normalized_bidirectional)
-    }
-}
+json_record!(encode Row { model, normalized_unidirectional, normalized_bidirectional });
 
 fn main() {
     println!("Figure 15: performance improvements provided by bidirectional transfer");

@@ -6,7 +6,7 @@
 
 use overlap_bench::{run_overlapped, write_json};
 use overlap_core::{ArtifactCache, OverlapOptions, SchedulerKind};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_models::table2_models;
 
 struct Row {
@@ -16,15 +16,7 @@ struct Row {
     bottom_up_speedup: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("top_down", self.top_down)
-            .with("bottom_up", self.bottom_up)
-            .with("bottom_up_speedup", self.bottom_up_speedup)
-    }
-}
+json_record!(encode Row { model, top_down, bottom_up, bottom_up_speedup });
 
 fn main() {
     println!("Figure 16: performance comparison of the two scheduling approaches");

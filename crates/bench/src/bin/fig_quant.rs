@@ -55,6 +55,8 @@ struct Row {
     cmp: FaultedComparison,
 }
 
+// Hand-written: a projection (flattened and computed members), not the
+// struct's field list.
 impl ToJson for Row {
     fn to_json(&self) -> Json {
         Json::obj()

@@ -91,6 +91,8 @@ impl Row {
     }
 }
 
+// Hand-written: a projection (flattened and computed members), not the
+// struct's field list.
 impl ToJson for Row {
     fn to_json(&self) -> Json {
         Json::obj()

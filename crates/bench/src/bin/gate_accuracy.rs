@@ -29,7 +29,7 @@ use overlap_core::{
     DecomposeOptions, FusionOptions,
 };
 use overlap_hlo::{Builder, DType, DotDims, Module, Op, ReplicaGroups, Shape, WireFormat};
-use overlap_json::{Json, ToJson};
+use overlap_json::{json_record, Json, ToJson};
 use overlap_models::{find_model, model_names};
 use overlap_numerics::{run_spmd, Literal};
 use overlap_sim::Simulation;
@@ -40,14 +40,7 @@ struct Row {
     measured_saving_ms: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("einsum", self.einsum.as_str())
-            .with("predicted_saving_ms", self.predicted_saving_ms)
-            .with("measured_saving_ms", self.measured_saving_ms)
-    }
-}
+json_record!(encode Row { einsum, predicted_saving_ms, measured_saving_ms });
 
 /// One quantized-wire accuracy measurement on the proxy layer.
 struct QuantRow {
@@ -60,6 +53,7 @@ struct QuantRow {
     measured_rel_error: f64,
 }
 
+// Hand-written: the committed figure spells the integer `group` as `4.0`.
 impl ToJson for QuantRow {
     fn to_json(&self) -> Json {
         Json::obj()

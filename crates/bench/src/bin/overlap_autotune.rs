@@ -49,6 +49,8 @@ impl Board {
     }
 }
 
+// Hand-written: a projection (flattened and computed members), not the
+// struct's field list.
 impl ToJson for Board {
     fn to_json(&self) -> Json {
         let rows: Vec<Json> = self

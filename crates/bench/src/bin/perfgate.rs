@@ -659,7 +659,7 @@ impl ToJson for FleetBench {
 fn peer_module(i: usize) -> Module {
     let n = 4;
     let rows = 1024 + 64 * i;
-    let mut b = Builder::new(&format!("fleet_peer_{i}"), n);
+    let mut b = Builder::new(format!("fleet_peer_{i}"), n);
     let x = b.parameter(Shape::new(DType::BF16, vec![rows, 1024]), "x");
     let w = b.parameter(Shape::new(DType::BF16, vec![1024, 4096 / n]), "w");
     let wg = b.all_gather(w, 1, ReplicaGroups::full(n), "wg");

@@ -11,7 +11,7 @@
 
 use overlap_bench::{artifact_cache, or_exit, par_map, report_cache, write_json};
 use overlap_core::{OverlapOptions, OverlapPipeline};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_mesh::Machine;
 use overlap_models::find_model;
 use overlap_sim::Simulation;
@@ -23,15 +23,7 @@ struct Row {
     speedup: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("bandwidth_gbps", self.bandwidth_gbps)
-            .with("baseline_comm_fraction", self.baseline_comm_fraction)
-            .with("patterns_decomposed", self.patterns_decomposed as u64)
-            .with("speedup", self.speedup)
-    }
-}
+json_record!(encode Row { bandwidth_gbps, baseline_comm_fraction, patterns_decomposed, speedup });
 
 fn main() {
     let cfg = or_exit(

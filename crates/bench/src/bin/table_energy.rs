@@ -6,7 +6,7 @@
 //! improvement: 1.14 - 1.38x in the paper.
 
 use overlap_bench::{artifact_cache, report_cache, run_comparison, write_json};
-use overlap_json::{Json, ToJson};
+use overlap_json::json_record;
 use overlap_models::table1_models;
 
 struct Row {
@@ -14,13 +14,7 @@ struct Row {
     energy_reduction: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("energy_reduction", self.energy_reduction)
-    }
-}
+json_record!(encode Row { model, energy_reduction });
 
 fn main() {
     println!("Section 6.4: energy consumption reduction");

@@ -15,7 +15,7 @@ use overlap_core::{
     ArtifactCache, Compiled, FusionAggressiveness, OverlapOptions, OverlapPipeline, RingDirection,
     SchedulerKind, StrategySpec,
 };
-use overlap_json::{Json, ToJson};
+use overlap_json::{json_record, ToJson};
 use overlap_mesh::{FaultSpec, Machine};
 use overlap_models::ModelConfig;
 use overlap_sim::{Report, Simulation};
@@ -51,17 +51,14 @@ impl StepStats {
     }
 }
 
-impl ToJson for StepStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("chips", self.chips as u64)
-            .with("step_time", self.step_time)
-            .with("compute_fraction", self.compute_fraction)
-            .with("comm_fraction", self.comm_fraction)
-            .with("flops_utilization", self.flops_utilization)
-    }
-}
+json_record!(encode StepStats {
+    model,
+    chips,
+    step_time,
+    compute_fraction,
+    comm_fraction,
+    flops_utilization,
+});
 
 /// Baseline and overlapped step statistics for one model.
 #[derive(Debug, Clone)]
@@ -80,13 +77,7 @@ impl Comparison {
     }
 }
 
-impl ToJson for Comparison {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("baseline", self.baseline.to_json())
-            .with("overlapped", self.overlapped.to_json())
-    }
-}
+json_record!(encode Comparison { baseline, overlapped });
 
 /// The process-wide artifact cache the sweep drivers share, configured
 /// from the environment ([`ArtifactCache::from_env`]): in-memory by
@@ -218,15 +209,7 @@ impl FaultedComparison {
     }
 }
 
-impl ToJson for FaultedComparison {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("baseline", self.baseline.to_json())
-            .with("overlapped", self.overlapped.to_json())
-            .with("decomposed", self.decomposed as u64)
-            .with("fallbacks", self.fallbacks as u64)
-    }
-}
+json_record!(encode FaultedComparison { baseline, overlapped, decomposed, fallbacks });
 
 /// Chunk widths the autotuner grid tries for the unidirectional
 /// AllGather loop.

@@ -1,10 +1,20 @@
 //! JSON codecs for the pipeline's [`Compiled`] bundle.
 //!
 //! The artifact cache persists compiled bundles to disk through these
-//! impls (see [`crate::ArtifactCache`]); the layout mirrors what
-//! `#[derive(Serialize)]` would emit — externally tagged enums, fields in
-//! declaration order — so the files read naturally next to the other
-//! JSON the workspace writes.
+//! impls (see [`crate::ArtifactCache`]), and the serve protocol ships
+//! options and compile records through them, so the bytes are a
+//! contract (`tests/wire_golden.rs` pins them).
+//!
+//! Each record's layout is its `json_record!` field list below: members
+//! in declaration order under the field's name, unit enums as their
+//! variant name. A member is left out of the encoding only through a
+//! `skip_if`/`skip_none` rule, and only where pre-existing documents
+//! must keep their bytes: a lossless `wire`, `window_layers <= 1`, an
+//! unset `error_budget`. `absent` members (`chunk`, a summary's fallback
+//! reasons) decode leniently but are always written.
+//!
+//! One type is hand-written: [`PatternKind`], an externally tagged enum
+//! (`{"Variant": {fields}}`), which the record shape cannot express.
 //!
 //! Decoding is defensive, not trusting: a decoded bundle comes from an
 //! arbitrary file, so the cache re-verifies the module and re-checks
@@ -12,7 +22,7 @@
 //! validates cross-references like instruction ids.
 
 use overlap_hlo::WireFormat;
-use overlap_json::{FromJson, Json, ToJson};
+use overlap_json::{json_enum, json_record, FromJson, Json, ToJson};
 
 use crate::costgate::GateDecision;
 use crate::decompose::{DecomposeOptions, DecomposeSummary};
@@ -24,42 +34,16 @@ use crate::strategy::{
     FusionAggressiveness, PartitionHint, PatternStrategy, RingDirection, StrategySpec,
 };
 
-impl ToJson for AgCase {
-    fn to_json(&self) -> Json {
-        Json::from(match self {
-            AgCase::Free => "Free",
-            AgCase::Contracting => "Contracting",
-            AgCase::Batch => "Batch",
-        })
-    }
-}
+json_enum!(AgCase { Free = "Free", Contracting = "Contracting", Batch = "Batch" });
 
-impl FromJson for AgCase {
-    fn from_json(v: &Json) -> Result<AgCase, String> {
-        match v.as_str() {
-            Some("Free") => Ok(AgCase::Free),
-            Some("Contracting") => Ok(AgCase::Contracting),
-            Some("Batch") => Ok(AgCase::Batch),
-            _ => Err(format!("expected AgCase, got {v}")),
-        }
-    }
-}
-
+// Hand-written: externally tagged (`{"Variant": {fields}}`).
 impl ToJson for PatternKind {
     fn to_json(&self) -> Json {
         match self {
-            PatternKind::AllGatherEinsum { gathered_is_lhs, case } => Json::obj().with(
-                "AllGatherEinsum",
-                Json::obj()
-                    .with("gathered_is_lhs", *gathered_is_lhs)
-                    .with("case", case.to_json()),
-            ),
-            PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim } => Json::obj().with(
-                "EinsumReduceScatter",
-                Json::obj()
-                    .with("sliced_is_lhs", *sliced_is_lhs)
-                    .with("sliced_dim", *sliced_dim as u64),
-            ),
+            PatternKind::AllGatherEinsum { gathered_is_lhs, case } => Json::obj()
+                .with("AllGatherEinsum", json_record!(fields { gathered_is_lhs, case })),
+            PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim } => Json::obj()
+                .with("EinsumReduceScatter", json_record!(fields { sliced_is_lhs, sliced_dim })),
         }
     }
 }
@@ -67,388 +51,99 @@ impl ToJson for PatternKind {
 impl FromJson for PatternKind {
     fn from_json(v: &Json) -> Result<PatternKind, String> {
         if let Some(p) = v.get("AllGatherEinsum") {
-            return Ok(PatternKind::AllGatherEinsum {
-                gathered_is_lhs: p.decode_field("gathered_is_lhs")?,
-                case: p.decode_field("case")?,
-            });
+            return Ok(json_record!(
+                from p => PatternKind::AllGatherEinsum { gathered_is_lhs, case }
+            ));
         }
         if let Some(p) = v.get("EinsumReduceScatter") {
-            return Ok(PatternKind::EinsumReduceScatter {
-                sliced_is_lhs: p.decode_field("sliced_is_lhs")?,
-                sliced_dim: p.decode_field("sliced_dim")?,
-            });
+            return Ok(json_record!(
+                from p => PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim }
+            ));
         }
         Err(format!("expected PatternKind, got {v}"))
     }
 }
 
-impl ToJson for Pattern {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("einsum", self.einsum.to_json())
-            .with("collective", self.collective.to_json())
-            .with("kind", self.kind.to_json())
-    }
-}
+json_record!(Pattern { einsum, collective, kind });
 
-impl FromJson for Pattern {
-    fn from_json(v: &Json) -> Result<Pattern, String> {
-        Ok(Pattern {
-            einsum: v.decode_field("einsum")?,
-            collective: v.decode_field("collective")?,
-            kind: v.decode_field("kind")?,
-        })
-    }
-}
+json_record!(GateDecision {
+    pattern,
+    comp_t,
+    comm_t,
+    comm_t_ring,
+    extra_t,
+    comp_d,
+    beneficial,
+    bidirectional,
+});
 
-impl ToJson for GateDecision {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("pattern", self.pattern.to_json())
-            .with("comp_t", self.comp_t)
-            .with("comm_t", self.comm_t)
-            .with("comm_t_ring", self.comm_t_ring)
-            .with("extra_t", self.extra_t)
-            .with("comp_d", self.comp_d)
-            .with("beneficial", self.beneficial)
-            .with("bidirectional", self.bidirectional)
-    }
-}
+// `chunk` and the fallback reasons postdate the first summaries, so they
+// decode leniently; the reasons are written as `null` when unset (cache
+// entries pin those bytes).
+json_record!(DecomposeSummary {
+    einsum,
+    group_size,
+    partial_einsums,
+    permutes,
+    bidirectional,
+    unrolled,
+    chunk [absent = 1],
+    unroll_fallback [absent = None],
+    bidirectional_fallback [absent = None],
+    chunk_fallback [absent = None],
+});
 
-impl FromJson for GateDecision {
-    fn from_json(v: &Json) -> Result<GateDecision, String> {
-        Ok(GateDecision {
-            pattern: v.decode_field("pattern")?,
-            comp_t: v.decode_field("comp_t")?,
-            comm_t: v.decode_field("comm_t")?,
-            comm_t_ring: v.decode_field("comm_t_ring")?,
-            extra_t: v.decode_field("extra_t")?,
-            comp_d: v.decode_field("comp_d")?,
-            beneficial: v.decode_field("beneficial")?,
-            bidirectional: v.decode_field("bidirectional")?,
-        })
-    }
-}
+json_record!(FallbackRecord { einsum, reason });
 
-impl ToJson for DecomposeSummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("einsum", self.einsum.as_str())
-            .with("group_size", self.group_size as u64)
-            .with("partial_einsums", self.partial_einsums as u64)
-            .with("permutes", self.permutes as u64)
-            .with("bidirectional", self.bidirectional)
-            .with("unrolled", self.unrolled)
-            .with("chunk", self.chunk as u64)
-            .with("unroll_fallback", self.unroll_fallback.to_json())
-            .with("bidirectional_fallback", self.bidirectional_fallback.to_json())
-            .with("chunk_fallback", self.chunk_fallback.to_json())
-    }
-}
+json_record!(DecomposeOptions {
+    unroll,
+    bidirectional,
+    pad_max_concat,
+    chunk [absent = 1],
+    wire [absent = WireFormat::Lossless, skip_if = WireFormat::is_lossless],
+});
 
-impl FromJson for DecomposeSummary {
-    fn from_json(v: &Json) -> Result<DecomposeSummary, String> {
-        // The chunk/fallback fields decode leniently (absent => the
-        // pre-strategy defaults): the cache's VERSION bump already
-        // invalidates old disk entries, but hand-written summaries in
-        // tests and tools stay valid.
-        let opt_reason = |field: &str| -> Result<Option<String>, String> {
-            match v.get(field) {
-                None => Ok(None),
-                Some(j) => Option::<String>::from_json(j),
-            }
-        };
-        Ok(DecomposeSummary {
-            einsum: v.decode_field("einsum")?,
-            group_size: v.decode_field("group_size")?,
-            partial_einsums: v.decode_field("partial_einsums")?,
-            permutes: v.decode_field("permutes")?,
-            bidirectional: v.decode_field("bidirectional")?,
-            unrolled: v.decode_field("unrolled")?,
-            chunk: match v.get("chunk") {
-                None => 1,
-                Some(j) => usize::from_json(j)?,
-            },
-            unroll_fallback: opt_reason("unroll_fallback")?,
-            bidirectional_fallback: opt_reason("bidirectional_fallback")?,
-            chunk_fallback: opt_reason("chunk_fallback")?,
-        })
-    }
-}
+json_record!(FusionOptions { overlap_aware });
 
-impl ToJson for FallbackRecord {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("einsum", self.einsum.as_str())
-            .with("reason", self.reason.as_str())
-    }
-}
+json_enum!(RingDirection { Unidirectional = "Unidirectional", Bidirectional = "Bidirectional" });
 
-impl FromJson for FallbackRecord {
-    fn from_json(v: &Json) -> Result<FallbackRecord, String> {
-        Ok(FallbackRecord {
-            einsum: v.decode_field("einsum")?,
-            reason: v.decode_field("reason")?,
-        })
-    }
-}
+json_enum!(FusionAggressiveness {
+    Off = "Off",
+    Conservative = "Conservative",
+    OverlapAware = "OverlapAware",
+});
 
-impl ToJson for DecomposeOptions {
-    fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .with("unroll", self.unroll)
-            .with("bidirectional", self.bidirectional)
-            .with("pad_max_concat", self.pad_max_concat)
-            .with("chunk", self.chunk as u64);
-        // Emitted only when quantized so lossless option files and cached
-        // bundles stay byte-identical to pre-precision ones.
-        if self.wire.is_lossless() {
-            j
-        } else {
-            j.with("wire", self.wire.to_json())
-        }
-    }
-}
+json_enum!(PartitionHint { Auto = "Auto", OneD = "OneD", TwoD = "TwoD" });
 
-impl FromJson for DecomposeOptions {
-    fn from_json(v: &Json) -> Result<DecomposeOptions, String> {
-        Ok(DecomposeOptions {
-            unroll: v.decode_field("unroll")?,
-            bidirectional: v.decode_field("bidirectional")?,
-            pad_max_concat: v.decode_field("pad_max_concat")?,
-            chunk: match v.get("chunk") {
-                None => 1,
-                Some(j) => usize::from_json(j)?,
-            },
-            wire: decode_wire(v)?,
-        })
-    }
-}
+json_record!(PatternStrategy {
+    chunk,
+    unroll,
+    ring,
+    pad_max_concat,
+    wire [absent = WireFormat::Lossless, skip_if = WireFormat::is_lossless],
+});
 
-/// Reads an optional `wire` field (absent ⇒ lossless).
-fn decode_wire(v: &Json) -> Result<WireFormat, String> {
-    match v.get("wire") {
-        None => Ok(WireFormat::Lossless),
-        Some(j) => WireFormat::from_json(j).map_err(|e| format!("field \"wire\": {e}")),
-    }
-}
+json_record!(StrategySpec {
+    all_gather,
+    reduce_scatter,
+    fusion,
+    partitioning,
+    window_layers [absent = 1, skip_if = |w: &usize| *w <= 1],
+});
 
-impl ToJson for FusionOptions {
-    fn to_json(&self) -> Json {
-        Json::obj().with("overlap_aware", self.overlap_aware)
-    }
-}
+json_enum!(SchedulerKind { BottomUp = "BottomUp", TopDown = "TopDown", Original = "Original" });
 
-impl FromJson for FusionOptions {
-    fn from_json(v: &Json) -> Result<FusionOptions, String> {
-        Ok(FusionOptions { overlap_aware: v.decode_field("overlap_aware")? })
-    }
-}
+json_record!(OverlapOptions {
+    strategy,
+    scheduler,
+    disable_cost_gate,
+    split_all_reduce,
+    error_budget [skip_none],
+});
 
-impl ToJson for RingDirection {
-    fn to_json(&self) -> Json {
-        Json::from(match self {
-            RingDirection::Unidirectional => "Unidirectional",
-            RingDirection::Bidirectional => "Bidirectional",
-        })
-    }
-}
+json_record!(PhaseTiming { phase, seconds });
 
-impl FromJson for RingDirection {
-    fn from_json(v: &Json) -> Result<RingDirection, String> {
-        match v.as_str() {
-            Some("Unidirectional") => Ok(RingDirection::Unidirectional),
-            Some("Bidirectional") => Ok(RingDirection::Bidirectional),
-            _ => Err(format!("expected RingDirection, got {v}")),
-        }
-    }
-}
-
-impl ToJson for FusionAggressiveness {
-    fn to_json(&self) -> Json {
-        Json::from(match self {
-            FusionAggressiveness::Off => "Off",
-            FusionAggressiveness::Conservative => "Conservative",
-            FusionAggressiveness::OverlapAware => "OverlapAware",
-        })
-    }
-}
-
-impl FromJson for FusionAggressiveness {
-    fn from_json(v: &Json) -> Result<FusionAggressiveness, String> {
-        match v.as_str() {
-            Some("Off") => Ok(FusionAggressiveness::Off),
-            Some("Conservative") => Ok(FusionAggressiveness::Conservative),
-            Some("OverlapAware") => Ok(FusionAggressiveness::OverlapAware),
-            _ => Err(format!("expected FusionAggressiveness, got {v}")),
-        }
-    }
-}
-
-impl ToJson for PartitionHint {
-    fn to_json(&self) -> Json {
-        Json::from(match self {
-            PartitionHint::Auto => "Auto",
-            PartitionHint::OneD => "OneD",
-            PartitionHint::TwoD => "TwoD",
-        })
-    }
-}
-
-impl FromJson for PartitionHint {
-    fn from_json(v: &Json) -> Result<PartitionHint, String> {
-        match v.as_str() {
-            Some("Auto") => Ok(PartitionHint::Auto),
-            Some("OneD") => Ok(PartitionHint::OneD),
-            Some("TwoD") => Ok(PartitionHint::TwoD),
-            _ => Err(format!("expected PartitionHint, got {v}")),
-        }
-    }
-}
-
-impl ToJson for PatternStrategy {
-    fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .with("chunk", self.chunk as u64)
-            .with("unroll", self.unroll)
-            .with("ring", self.ring.to_json())
-            .with("pad_max_concat", self.pad_max_concat);
-        // Emitted only when quantized so lossless strategy files stay
-        // byte-identical to pre-precision ones.
-        if self.wire.is_lossless() {
-            j
-        } else {
-            j.with("wire", self.wire.to_json())
-        }
-    }
-}
-
-impl FromJson for PatternStrategy {
-    fn from_json(v: &Json) -> Result<PatternStrategy, String> {
-        Ok(PatternStrategy {
-            chunk: v.decode_field("chunk")?,
-            unroll: v.decode_field("unroll")?,
-            ring: v.decode_field("ring")?,
-            pad_max_concat: v.decode_field("pad_max_concat")?,
-            wire: decode_wire(v)?,
-        })
-    }
-}
-
-impl ToJson for StrategySpec {
-    fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .with("all_gather", self.all_gather.to_json())
-            .with("reduce_scatter", self.reduce_scatter.to_json())
-            .with("fusion", self.fusion.to_json())
-            .with("partitioning", self.partitioning.to_json());
-        // Emitted only when widened so `window_layers = 1` strategy files
-        // and cached bundles stay byte-identical to pre-window ones.
-        if self.window_layers > 1 {
-            j.with("window_layers", self.window_layers as u64)
-        } else {
-            j
-        }
-    }
-}
-
-impl FromJson for StrategySpec {
-    fn from_json(v: &Json) -> Result<StrategySpec, String> {
-        Ok(StrategySpec {
-            all_gather: v.decode_field("all_gather")?,
-            reduce_scatter: v.decode_field("reduce_scatter")?,
-            fusion: v.decode_field("fusion")?,
-            partitioning: v.decode_field("partitioning")?,
-            window_layers: match v.get("window_layers") {
-                None => 1,
-                Some(j) => usize::from_json(j)?,
-            },
-        })
-    }
-}
-
-impl ToJson for SchedulerKind {
-    fn to_json(&self) -> Json {
-        Json::from(match self {
-            SchedulerKind::BottomUp => "BottomUp",
-            SchedulerKind::TopDown => "TopDown",
-            SchedulerKind::Original => "Original",
-        })
-    }
-}
-
-impl FromJson for SchedulerKind {
-    fn from_json(v: &Json) -> Result<SchedulerKind, String> {
-        match v.as_str() {
-            Some("BottomUp") => Ok(SchedulerKind::BottomUp),
-            Some("TopDown") => Ok(SchedulerKind::TopDown),
-            Some("Original") => Ok(SchedulerKind::Original),
-            _ => Err(format!("expected SchedulerKind, got {v}")),
-        }
-    }
-}
-
-impl ToJson for OverlapOptions {
-    fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .with("strategy", self.strategy.to_json())
-            .with("scheduler", self.scheduler.to_json())
-            .with("disable_cost_gate", self.disable_cost_gate)
-            .with("split_all_reduce", self.split_all_reduce);
-        // Emitted only when set so budget-free option files stay
-        // byte-identical to pre-precision ones.
-        match self.error_budget {
-            None => j,
-            Some(b) => j.with("error_budget", b),
-        }
-    }
-}
-
-impl FromJson for OverlapOptions {
-    fn from_json(v: &Json) -> Result<OverlapOptions, String> {
-        Ok(OverlapOptions {
-            strategy: v.decode_field("strategy")?,
-            scheduler: v.decode_field("scheduler")?,
-            disable_cost_gate: v.decode_field("disable_cost_gate")?,
-            split_all_reduce: v.decode_field("split_all_reduce")?,
-            error_budget: match v.get("error_budget") {
-                None => None,
-                Some(j) => Some(f64::from_json(j).map_err(|e| {
-                    format!("field \"error_budget\": {e}")
-                })?),
-            },
-        })
-    }
-}
-
-impl ToJson for PhaseTiming {
-    fn to_json(&self) -> Json {
-        Json::obj().with("phase", self.phase.as_str()).with("seconds", self.seconds)
-    }
-}
-
-impl FromJson for PhaseTiming {
-    fn from_json(v: &Json) -> Result<PhaseTiming, String> {
-        Ok(PhaseTiming { phase: v.decode_field("phase")?, seconds: v.decode_field("seconds")? })
-    }
-}
-
-impl ToJson for PhaseTimings {
-    fn to_json(&self) -> Json {
-        Json::obj().with("phases", self.phases().to_json())
-    }
-}
-
-impl FromJson for PhaseTimings {
-    fn from_json(v: &Json) -> Result<PhaseTimings, String> {
-        let phases: Vec<PhaseTiming> = v.decode_field("phases")?;
-        let mut out = PhaseTimings::new();
-        for p in phases {
-            out.record(&p.phase, p.seconds);
-        }
-        Ok(out)
-    }
-}
+json_record!(PhaseTimings { phases });
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@ pub struct PhaseTiming {
 /// `split_all_reduces` when disabled) is simply absent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseTimings {
-    phases: Vec<PhaseTiming>,
+    pub(crate) phases: Vec<PhaseTiming>,
 }
 
 impl PhaseTimings {

@@ -25,8 +25,8 @@ use crate::{HloError, Shape};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DotDims {
-    batch: Vec<(usize, usize)>,
-    contracting: Vec<(usize, usize)>,
+    pub(crate) batch: Vec<(usize, usize)>,
+    pub(crate) contracting: Vec<(usize, usize)>,
 }
 
 impl DotDims {
@@ -59,16 +59,6 @@ impl DotDims {
             }
         }
         Ok(dims)
-    }
-
-    /// Unchecked construction for the wire layer (`crate::json`): a
-    /// decoded module is untrusted and shape inference in the verifier
-    /// rejects malformed dimension numbers.
-    pub(crate) fn from_raw(
-        batch: Vec<(usize, usize)>,
-        contracting: Vec<(usize, usize)>,
-    ) -> Self {
-        DotDims { batch, contracting }
     }
 
     /// Plain 2-D matrix multiplication: `[M, K] x [K, N] -> [M, N]`.

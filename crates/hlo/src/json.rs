@@ -1,11 +1,23 @@
 //! Lossless JSON encoding of the IR via `overlap-json`.
 //!
-//! This is the wire format `overlapc` and the on-disk artifact cache
-//! exchange modules in. The layout is the one derived serde used to
-//! produce — externally tagged enums, struct fields in declaration
-//! order, newtypes transparent — so documents written by the earliest,
-//! serde-based revisions of this workspace parse unchanged, and tooling
-//! that pokes paths like `v["instrs"][3]["operands"][0]` keeps working.
+//! This is the wire format `overlapc`, the serve protocol and the
+//! on-disk artifact cache exchange modules in; `tests/wire_golden.rs`
+//! pins its bytes, and tooling that pokes paths like
+//! `v["instrs"][3]["operands"][0]` relies on it.
+//!
+//! Each record's layout is its `json_record!` field list below: members
+//! in declaration order under the field's name, unit enums as their
+//! variant name. The one elided member is a collective's `wire`, left
+//! out when lossless (the `collective!` rule) so modules serialized
+//! before precision annotations re-encode byte-identically.
+//!
+//! Hand-written, because the record shape cannot express them:
+//! [`InstrId`] and [`ReplicaGroups`] (newtype-transparent: the bare
+//! index / group array) and [`Op`] (externally tagged — unit variants as
+//! bare strings, struct variants as `{"Tag": {fields}}`, newtype
+//! variants as `{"Tag": inner}` — with non-finite `Constant` values
+//! spelled as strings). `Op`'s struct payloads still go through
+//! `json_record!`'s field rules.
 //!
 //! Decoding performs **no graph validation**: a decoded [`Module`] is
 //! untrusted and must pass [`Module::verify`] before use. Structural
@@ -13,111 +25,36 @@
 //! the verifier is for), and the tamper tests rely on corrupt documents
 //! decoding into rejectable modules rather than failing opaquely.
 
-use overlap_json::{FromJson, Json, ToJson};
+use overlap_json::{json_enum, json_record, FromJson, Json, ToJson};
 
 use crate::{
     BinaryKind, DType, DotDims, FusionGroup, InstrId, Instruction, Module, Op, PadDim,
     ReplicaGroups, Shape, UnaryKind, WireFormat,
 };
 
-impl ToJson for DType {
-    fn to_json(&self) -> Json {
-        Json::from(format!("{self:?}"))
-    }
-}
+json_enum!(DType { F32 = "F32", BF16 = "BF16", S32 = "S32", U32 = "U32", Pred = "Pred" });
 
-impl FromJson for DType {
-    fn from_json(v: &Json) -> Result<DType, String> {
-        match v.as_str() {
-            Some("F32") => Ok(DType::F32),
-            Some("BF16") => Ok(DType::BF16),
-            Some("S32") => Ok(DType::S32),
-            Some("U32") => Ok(DType::U32),
-            Some("Pred") => Ok(DType::Pred),
-            _ => Err(format!("unknown dtype {v}")),
-        }
-    }
-}
+json_record!(Shape { dtype, dims });
 
-impl ToJson for Shape {
-    fn to_json(&self) -> Json {
-        Json::obj().with("dtype", self.dtype().to_json()).with("dims", self.dims().to_json())
-    }
-}
+// Unvalidated, like every decoder here: einsum shape inference in the
+// verifier rejects inconsistent dimension numbers.
+json_record!(DotDims { batch, contracting });
 
-impl FromJson for Shape {
-    fn from_json(v: &Json) -> Result<Shape, String> {
-        Ok(Shape::new(v.decode_field("dtype")?, v.decode_field("dims")?))
-    }
-}
+json_record!(PadDim { low, high });
 
-impl ToJson for DotDims {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("batch", self.batch().to_json())
-            .with("contracting", self.contracting().to_json())
-    }
-}
+json_enum!(BinaryKind {
+    Add = "Add",
+    Sub = "Sub",
+    Mul = "Mul",
+    Div = "Div",
+    Max = "Max",
+    Min = "Min",
+    Rem = "Rem",
+});
 
-impl FromJson for DotDims {
-    fn from_json(v: &Json) -> Result<DotDims, String> {
-        // Unvalidated: einsum shape inference
-        // in the verifier rejects inconsistent dimension numbers.
-        Ok(DotDims::from_raw(v.decode_field("batch")?, v.decode_field("contracting")?))
-    }
-}
+json_enum!(UnaryKind { Neg = "Neg", Relu = "Relu", Step = "Step" });
 
-impl ToJson for PadDim {
-    fn to_json(&self) -> Json {
-        Json::obj().with("low", self.low.to_json()).with("high", self.high.to_json())
-    }
-}
-
-impl FromJson for PadDim {
-    fn from_json(v: &Json) -> Result<PadDim, String> {
-        Ok(PadDim { low: v.decode_field("low")?, high: v.decode_field("high")? })
-    }
-}
-
-impl ToJson for BinaryKind {
-    fn to_json(&self) -> Json {
-        Json::from(format!("{self:?}"))
-    }
-}
-
-impl FromJson for BinaryKind {
-    fn from_json(v: &Json) -> Result<BinaryKind, String> {
-        match v.as_str() {
-            Some("Add") => Ok(BinaryKind::Add),
-            Some("Sub") => Ok(BinaryKind::Sub),
-            Some("Mul") => Ok(BinaryKind::Mul),
-            Some("Div") => Ok(BinaryKind::Div),
-            Some("Max") => Ok(BinaryKind::Max),
-            Some("Min") => Ok(BinaryKind::Min),
-            Some("Rem") => Ok(BinaryKind::Rem),
-            _ => Err(format!("unknown binary kind {v}")),
-        }
-    }
-}
-
-impl ToJson for UnaryKind {
-    fn to_json(&self) -> Json {
-        Json::from(format!("{self:?}"))
-    }
-}
-
-impl FromJson for UnaryKind {
-    fn from_json(v: &Json) -> Result<UnaryKind, String> {
-        match v.as_str() {
-            Some("Neg") => Ok(UnaryKind::Neg),
-            Some("Relu") => Ok(UnaryKind::Relu),
-            Some("Step") => Ok(UnaryKind::Step),
-            _ => Err(format!("unknown unary kind {v}")),
-        }
-    }
-}
-
-/// Newtype-transparent: serializes as the bare group array.
+/// Hand-written: newtype-transparent, serializes as the bare group array.
 impl ToJson for ReplicaGroups {
     fn to_json(&self) -> Json {
         self.groups().to_json()
@@ -132,7 +69,7 @@ impl FromJson for ReplicaGroups {
     }
 }
 
-/// Newtype-transparent: serializes as the bare arena index.
+/// Hand-written: newtype-transparent, serializes as the bare arena index.
 impl ToJson for InstrId {
     fn to_json(&self) -> Json {
         Json::from(self.0)
@@ -145,43 +82,41 @@ impl FromJson for InstrId {
     }
 }
 
-/// One externally-tagged struct variant: `{"Tag": {fields…}}`.
+/// One externally-tagged variant: `{"Tag": payload}`.
 fn variant(tag: &str, payload: Json) -> Json {
     Json::obj().with(tag, payload)
 }
 
-/// Appends a collective's `wire` field unless it is lossless: lossless
+/// A collective payload whose last member is its wire format. Lossless
 /// is the default and stays implicit, so pre-annotation serialized
-/// modules re-encode byte-identically. The lossless-is-invisible rule is
-/// stated and enforced here and in [`decode_wire`], nowhere else.
-fn with_wire(payload: Json, wire: WireFormat) -> Json {
-    if wire.is_lossless() {
-        payload
-    } else {
-        payload.with("wire", wire.to_json())
-    }
+/// modules re-encode byte-identically.
+macro_rules! collective {
+    (fields { $($field:ident),+; $wire:ident }) => {
+        json_record!(fields {
+            $($field,)+
+            $wire [absent = WireFormat::Lossless, skip_if = WireFormat::is_lossless]
+        })
+    };
+    (from $payload:ident => $variant:ident { $($field:ident),+; $wire:ident }) => {
+        json_record!(from $payload => Op::$variant {
+            $($field,)+
+            $wire [absent = WireFormat::Lossless, skip_if = WireFormat::is_lossless]
+        })
+    };
 }
 
-/// Reads a collective's optional `wire` field (absent ⇒ lossless).
-fn decode_wire(payload: &Json) -> Result<WireFormat, String> {
-    match payload.get("wire") {
-        None => Ok(WireFormat::Lossless),
-        Some(v) => WireFormat::from_json(v).map_err(|e| format!("field \"wire\": {e}")),
-    }
-}
-
+// Hand-written: externally tagged (unit variants as bare strings, struct
+// variants as `{"Tag": {fields}}`, newtype variants as `{"Tag": inner}`),
+// and `Constant` spells non-finite values as strings.
 impl ToJson for Op {
     fn to_json(&self) -> Json {
         match self {
-            // Unit variants are bare strings.
-            Op::Reshape
-            | Op::DynamicUpdateSlice
-            | Op::Copy
-            | Op::CollectivePermuteDone
-            | Op::PartitionId => Json::from(unit_name(self)),
-            Op::Parameter { index } => {
-                variant("Parameter", Json::obj().with("index", index.to_json()))
-            }
+            Op::Reshape => Json::from("Reshape"),
+            Op::DynamicUpdateSlice => Json::from("DynamicUpdateSlice"),
+            Op::Copy => Json::from("Copy"),
+            Op::CollectivePermuteDone => Json::from("CollectivePermuteDone"),
+            Op::PartitionId => Json::from("PartitionId"),
+            Op::Parameter { index } => variant("Parameter", json_record!(fields { index })),
             Op::Constant { value } => {
                 // JSON has no ±inf/NaN tokens (the writer would emit
                 // `null`), and the §5.4.3 pad-max-concat join pads with
@@ -194,74 +129,41 @@ impl ToJson for Op {
                 variant("Constant", Json::obj().with("value", v))
             }
             Op::ConstantTensor { values } => {
-                variant("ConstantTensor", Json::obj().with("values", values.to_json()))
+                variant("ConstantTensor", json_record!(fields { values }))
             }
-            Op::Iota { dim } => variant("Iota", Json::obj().with("dim", dim.to_json())),
+            Op::Iota { dim } => variant("Iota", json_record!(fields { dim })),
             Op::Broadcast { operand_dims } => {
-                variant("Broadcast", Json::obj().with("operand_dims", operand_dims.to_json()))
+                variant("Broadcast", json_record!(fields { operand_dims }))
             }
-            Op::Transpose { perm } => {
-                variant("Transpose", Json::obj().with("perm", perm.to_json()))
+            Op::Transpose { perm } => variant("Transpose", json_record!(fields { perm })),
+            Op::Slice { starts, limits } => {
+                variant("Slice", json_record!(fields { starts, limits }))
             }
-            Op::Slice { starts, limits } => variant(
-                "Slice",
-                Json::obj().with("starts", starts.to_json()).with("limits", limits.to_json()),
-            ),
-            Op::DynamicSlice { sizes } => {
-                variant("DynamicSlice", Json::obj().with("sizes", sizes.to_json()))
-            }
-            Op::Concatenate { dim } => {
-                variant("Concatenate", Json::obj().with("dim", dim.to_json()))
-            }
-            Op::Pad { config } => variant("Pad", Json::obj().with("config", config.to_json())),
+            Op::DynamicSlice { sizes } => variant("DynamicSlice", json_record!(fields { sizes })),
+            Op::Concatenate { dim } => variant("Concatenate", json_record!(fields { dim })),
+            Op::Pad { config } => variant("Pad", json_record!(fields { config })),
             Op::Binary(kind) => variant("Binary", kind.to_json()),
             Op::Unary(kind) => variant("Unary", kind.to_json()),
             Op::Einsum(dims) => variant("Einsum", dims.to_json()),
-            Op::AllGather { dim, groups, wire } => variant(
-                "AllGather",
-                with_wire(
-                    Json::obj().with("dim", dim.to_json()).with("groups", groups.to_json()),
-                    *wire,
-                ),
-            ),
-            Op::ReduceScatter { dim, groups, wire } => variant(
-                "ReduceScatter",
-                with_wire(
-                    Json::obj().with("dim", dim.to_json()).with("groups", groups.to_json()),
-                    *wire,
-                ),
-            ),
-            Op::AllReduce { groups, wire } => variant(
-                "AllReduce",
-                with_wire(Json::obj().with("groups", groups.to_json()), *wire),
-            ),
-            Op::AllToAll { split_dim, concat_dim, groups } => variant(
-                "AllToAll",
-                Json::obj()
-                    .with("split_dim", split_dim.to_json())
-                    .with("concat_dim", concat_dim.to_json())
-                    .with("groups", groups.to_json()),
-            ),
-            Op::CollectivePermute { pairs, wire } => variant(
-                "CollectivePermute",
-                with_wire(Json::obj().with("pairs", pairs.to_json()), *wire),
-            ),
-            Op::CollectivePermuteStart { pairs, wire } => variant(
-                "CollectivePermuteStart",
-                with_wire(Json::obj().with("pairs", pairs.to_json()), *wire),
-            ),
+            Op::AllGather { dim, groups, wire } => {
+                variant("AllGather", collective!(fields { dim, groups; wire }))
+            }
+            Op::ReduceScatter { dim, groups, wire } => {
+                variant("ReduceScatter", collective!(fields { dim, groups; wire }))
+            }
+            Op::AllReduce { groups, wire } => {
+                variant("AllReduce", collective!(fields { groups; wire }))
+            }
+            Op::AllToAll { split_dim, concat_dim, groups } => {
+                variant("AllToAll", json_record!(fields { split_dim, concat_dim, groups }))
+            }
+            Op::CollectivePermute { pairs, wire } => {
+                variant("CollectivePermute", collective!(fields { pairs; wire }))
+            }
+            Op::CollectivePermuteStart { pairs, wire } => {
+                variant("CollectivePermuteStart", collective!(fields { pairs; wire }))
+            }
         }
-    }
-}
-
-fn unit_name(op: &Op) -> &'static str {
-    match op {
-        Op::Reshape => "Reshape",
-        Op::DynamicUpdateSlice => "DynamicUpdateSlice",
-        Op::Copy => "Copy",
-        Op::CollectivePermuteDone => "CollectivePermuteDone",
-        Op::PartitionId => "PartitionId",
-        _ => unreachable!("not a unit variant"),
     }
 }
 
@@ -277,14 +179,14 @@ impl FromJson for Op {
                 other => Err(format!("unknown op {other:?}")),
             };
         }
-        let (tag, payload) = match v {
+        let (tag, p) = match v {
             Json::Obj(fields) if fields.len() == 1 => (&fields[0].0, &fields[0].1),
             other => return Err(format!("expected op tag, got {other}")),
         };
-        let op = match tag.as_str() {
-            "Parameter" => Op::Parameter { index: payload.decode_field("index")? },
+        Ok(match tag.as_str() {
+            "Parameter" => json_record!(from p => Op::Parameter { index }),
             "Constant" => {
-                let v = payload.get("value").ok_or("Constant missing value")?;
+                let v = p.get("value").ok_or("Constant missing value")?;
                 let value = match v.as_str() {
                     Some(s) => s
                         .parse::<f64>()
@@ -293,112 +195,35 @@ impl FromJson for Op {
                 };
                 Op::Constant { value }
             }
-            "ConstantTensor" => {
-                Op::ConstantTensor { values: payload.decode_field("values")? }
+            "ConstantTensor" => json_record!(from p => Op::ConstantTensor { values }),
+            "Iota" => json_record!(from p => Op::Iota { dim }),
+            "Broadcast" => json_record!(from p => Op::Broadcast { operand_dims }),
+            "Transpose" => json_record!(from p => Op::Transpose { perm }),
+            "Slice" => json_record!(from p => Op::Slice { starts, limits }),
+            "DynamicSlice" => json_record!(from p => Op::DynamicSlice { sizes }),
+            "Concatenate" => json_record!(from p => Op::Concatenate { dim }),
+            "Pad" => json_record!(from p => Op::Pad { config }),
+            "Binary" => Op::Binary(BinaryKind::from_json(p)?),
+            "Unary" => Op::Unary(UnaryKind::from_json(p)?),
+            "Einsum" => Op::Einsum(DotDims::from_json(p)?),
+            "AllGather" => collective!(from p => AllGather { dim, groups; wire }),
+            "ReduceScatter" => collective!(from p => ReduceScatter { dim, groups; wire }),
+            "AllReduce" => collective!(from p => AllReduce { groups; wire }),
+            "AllToAll" => json_record!(from p => Op::AllToAll { split_dim, concat_dim, groups }),
+            "CollectivePermute" => collective!(from p => CollectivePermute { pairs; wire }),
+            "CollectivePermuteStart" => {
+                collective!(from p => CollectivePermuteStart { pairs; wire })
             }
-            "Iota" => Op::Iota { dim: payload.decode_field("dim")? },
-            "Broadcast" => Op::Broadcast { operand_dims: payload.decode_field("operand_dims")? },
-            "Transpose" => Op::Transpose { perm: payload.decode_field("perm")? },
-            "Slice" => Op::Slice {
-                starts: payload.decode_field("starts")?,
-                limits: payload.decode_field("limits")?,
-            },
-            "DynamicSlice" => Op::DynamicSlice { sizes: payload.decode_field("sizes")? },
-            "Concatenate" => Op::Concatenate { dim: payload.decode_field("dim")? },
-            "Pad" => Op::Pad { config: payload.decode_field("config")? },
-            "Binary" => Op::Binary(BinaryKind::from_json(payload)?),
-            "Unary" => Op::Unary(UnaryKind::from_json(payload)?),
-            "Einsum" => Op::Einsum(DotDims::from_json(payload)?),
-            "AllGather" => Op::AllGather {
-                dim: payload.decode_field("dim")?,
-                groups: payload.decode_field("groups")?,
-                wire: decode_wire(payload)?,
-            },
-            "ReduceScatter" => Op::ReduceScatter {
-                dim: payload.decode_field("dim")?,
-                groups: payload.decode_field("groups")?,
-                wire: decode_wire(payload)?,
-            },
-            "AllReduce" => Op::AllReduce {
-                groups: payload.decode_field("groups")?,
-                wire: decode_wire(payload)?,
-            },
-            "AllToAll" => Op::AllToAll {
-                split_dim: payload.decode_field("split_dim")?,
-                concat_dim: payload.decode_field("concat_dim")?,
-                groups: payload.decode_field("groups")?,
-            },
-            "CollectivePermute" => Op::CollectivePermute {
-                pairs: payload.decode_field("pairs")?,
-                wire: decode_wire(payload)?,
-            },
-            "CollectivePermuteStart" => Op::CollectivePermuteStart {
-                pairs: payload.decode_field("pairs")?,
-                wire: decode_wire(payload)?,
-            },
             other => return Err(format!("unknown op {other:?}")),
-        };
-        Ok(op)
-    }
-}
-
-impl ToJson for Instruction {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("name", self.name.to_json())
-            .with("shape", self.shape.to_json())
-            .with("op", self.op.to_json())
-            .with("operands", self.operands.to_json())
-            .with("tag", self.tag.to_json())
-    }
-}
-
-impl FromJson for Instruction {
-    fn from_json(v: &Json) -> Result<Instruction, String> {
-        Ok(Instruction {
-            name: v.decode_field("name")?,
-            shape: v.decode_field("shape")?,
-            op: v.decode_field("op")?,
-            operands: v.decode_field("operands")?,
-            tag: v.decode_field("tag")?,
         })
     }
 }
 
-impl ToJson for FusionGroup {
-    fn to_json(&self) -> Json {
-        Json::obj().with("members", self.members.to_json()).with("root", self.root.to_json())
-    }
-}
+json_record!(Instruction { name, shape, op, operands, tag });
 
-impl FromJson for FusionGroup {
-    fn from_json(v: &Json) -> Result<FusionGroup, String> {
-        Ok(FusionGroup { members: v.decode_field("members")?, root: v.decode_field("root")? })
-    }
-}
+json_record!(FusionGroup { members, root });
 
-impl ToJson for Module {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("name", self.name.to_json())
-            .with("instrs", self.instrs.to_json())
-            .with("outputs", self.outputs.to_json())
-            .with("num_partitions", self.num_partitions.to_json())
-            .with("fusion_groups", self.fusion_groups.to_json())
-    }
-}
-
-impl FromJson for Module {
-    fn from_json(v: &Json) -> Result<Module, String> {
-        Ok(Module {
-            name: v.decode_field("name")?,
-            instrs: v.decode_field("instrs")?,
-            outputs: v.decode_field("outputs")?,
-            num_partitions: v.decode_field("num_partitions")?,
-            fusion_groups: v.decode_field("fusion_groups")?,
-        })
-    }
-}
+json_record!(Module { name, instrs, outputs, num_partitions, fusion_groups });
 
 impl Module {
     /// Parses a module from JSON text. The result is **untrusted**:

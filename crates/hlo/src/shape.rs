@@ -20,8 +20,8 @@ use crate::DType;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
-    dtype: DType,
-    dims: Vec<usize>,
+    pub(crate) dtype: DType,
+    pub(crate) dims: Vec<usize>,
 }
 
 impl Shape {

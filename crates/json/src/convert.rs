@@ -49,6 +49,26 @@ impl Json {
     pub fn decode_field<T: FromJson>(&self, key: &str) -> Result<T, String> {
         T::from_json(field(self, key)?).map_err(|e| format!("field {key:?}: {e}"))
     }
+
+    /// Decodes an optional object member into `T`: an absent or `null`
+    /// member yields `absent()`. This is the one place the workspace's
+    /// "a default is invisible on the wire" rule is decoded (see
+    /// [`json_record!`](crate::json_record)).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the key on a decode failure inside a
+    /// present member.
+    pub fn decode_field_or<T: FromJson>(
+        &self,
+        key: &str,
+        absent: impl FnOnce() -> T,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(absent()),
+            Some(v) => T::from_json(v).map_err(|e| format!("field {key:?}: {e}")),
+        }
+    }
 }
 
 impl ToJson for Json {

@@ -15,19 +15,33 @@
 //!   (cache files and `overlapc` inputs are untrusted),
 //! - [`ToJson`]/[`FromJson`] — the encode/decode traits the IR and the
 //!   bench records implement,
+//! - [`json_record!`]/[`json_enum!`] — one field list per wire type:
+//!   both trait impls generated from it, so encode and decode cannot
+//!   drift apart,
 //! - [`StableHasher`]/[`Fingerprint`] — the 128-bit FNV-1a hasher
 //!   behind the content-addressed artifact cache keys. It is a *stable*
 //!   hash: independent of `std::hash` seeds, process, platform word
 //!   size and build, so fingerprints are valid cache keys across runs.
 //!
-//! The object model preserves insertion order and the printers mirror
-//! the layout `serde_json` would produce for derived types (externally
-//! tagged enums, declaration-order fields, 2-space pretty indent), so
-//! files written by earlier, serde-based revisions parse identically.
+//! The layout conventions, which committed figures, cache entries and
+//! wire frames pin byte for byte: objects keep insertion order and a
+//! record's members appear in its `json_record!` list order (the
+//! struct's declaration order) under the field's own name; a unit enum
+//! is its listed name as a bare string; `Option` is the value or
+//! `null`; the pretty printer indents by two spaces. A member is left
+//! out of an encoding only by a record's `skip_if`/`skip_none` rule and
+//! defaulted on decode only by its `absent` rule — there is no other
+//! elision mechanism. Layouts the record shape cannot express stay
+//! hand-written next to their type and say why in one line: externally
+//! tagged enums (`Op`, `PatternKind`, `WireFormat`), newtype-transparent
+//! ids (`InstrId`, `ReplicaGroups`), the untagged `ModelRef` and
+//! `MachineSpec`, the `Request`/`Response`/`ServeEvent` tag dispatch,
+//! and `ErrorKind` (its `as_str` already is the name table).
 
 mod convert;
 mod hash;
 mod parse;
+mod record;
 mod value;
 
 pub use convert::{FromJson, ToJson};

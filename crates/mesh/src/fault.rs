@@ -13,7 +13,7 @@
 //! never from a shared mutable RNG stream, so the same seed produces
 //! bit-identical results regardless of thread count or evaluation order.
 
-use overlap_json::{Fingerprint, FromJson, Json, StableHasher, ToJson};
+use overlap_json::{json_record, Fingerprint, StableHasher};
 
 use crate::mesh::DeviceMesh;
 
@@ -290,127 +290,30 @@ fn link_word(l: LinkId) -> u64 {
     (u64::from(l.device) << 16) ^ ((l.axis as u64) << 1) ^ u64::from(l.forward)
 }
 
-impl ToJson for LinkId {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("device", u64::from(self.device))
-            .with("axis", self.axis as u64)
-            .with("forward", self.forward)
-    }
-}
+json_record!(LinkId { device, axis, forward });
 
-impl FromJson for LinkId {
-    fn from_json(v: &Json) -> Result<LinkId, String> {
-        Ok(LinkId {
-            device: u32::try_from(v.decode_field::<u64>("device")?)
-                .map_err(|_| "link device exceeds u32".to_string())?,
-            axis: v.decode_field::<usize>("axis")?,
-            forward: v.decode_field::<bool>("forward")?,
-        })
-    }
-}
+json_record!(LinkDerate { link, derate });
 
-impl ToJson for LinkDerate {
-    fn to_json(&self) -> Json {
-        Json::obj().with("link", self.link.to_json()).with("derate", self.derate)
-    }
-}
+json_record!(Straggler { device, slowdown });
 
-impl FromJson for LinkDerate {
-    fn from_json(v: &Json) -> Result<LinkDerate, String> {
-        Ok(LinkDerate {
-            link: v.decode_field("link")?,
-            derate: v.decode_field("derate")?,
-        })
-    }
-}
-
-impl ToJson for Straggler {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("device", u64::from(self.device))
-            .with("slowdown", self.slowdown)
-    }
-}
-
-impl FromJson for Straggler {
-    fn from_json(v: &Json) -> Result<Straggler, String> {
-        Ok(Straggler {
-            device: u32::try_from(v.decode_field::<u64>("device")?)
-                .map_err(|_| "straggler device exceeds u32".to_string())?,
-            slowdown: v.decode_field("slowdown")?,
-        })
-    }
-}
-
-impl ToJson for FaultSpec {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seed", self.seed)
-            .with("link_derates", self.link_derates.to_json())
-            .with("down_links", self.down_links.to_json())
-            .with("stragglers", self.stragglers.to_json())
-            .with("jitter_seconds", self.jitter_seconds)
-            .with("stall_probability", self.stall_probability)
-            .with("stall_seconds", self.stall_seconds)
-            .with("stall_max_retries", u64::from(self.stall_max_retries))
-            .with("time_limit_seconds", self.time_limit_seconds)
-    }
-}
-
-impl FromJson for FaultSpec {
-    fn from_json(v: &Json) -> Result<FaultSpec, String> {
-        if v.get("seed").is_none() && v.get("stragglers").is_none() && v.get("link_derates").is_none() {
-            return Err(format!("expected fault spec object, got {v}"));
-        }
-        // Every field is optional so hand-written specs stay terse; a
-        // missing field means "no faults of that kind".
-        let d = FaultSpec::default();
-        let opt = |key: &str| v.get(key).filter(|j| !j.is_null());
-        Ok(FaultSpec {
-            seed: match opt("seed") {
-                Some(_) => v.decode_field("seed")?,
-                None => d.seed,
-            },
-            link_derates: match opt("link_derates") {
-                Some(_) => v.decode_field("link_derates")?,
-                None => d.link_derates,
-            },
-            down_links: match opt("down_links") {
-                Some(_) => v.decode_field("down_links")?,
-                None => d.down_links,
-            },
-            stragglers: match opt("stragglers") {
-                Some(_) => v.decode_field("stragglers")?,
-                None => d.stragglers,
-            },
-            jitter_seconds: match opt("jitter_seconds") {
-                Some(_) => v.decode_field("jitter_seconds")?,
-                None => d.jitter_seconds,
-            },
-            stall_probability: match opt("stall_probability") {
-                Some(_) => v.decode_field("stall_probability")?,
-                None => d.stall_probability,
-            },
-            stall_seconds: match opt("stall_seconds") {
-                Some(_) => v.decode_field("stall_seconds")?,
-                None => d.stall_seconds,
-            },
-            stall_max_retries: match opt("stall_max_retries") {
-                Some(_) => u32::try_from(v.decode_field::<u64>("stall_max_retries")?)
-                    .map_err(|_| "stall_max_retries exceeds u32".to_string())?,
-                None => d.stall_max_retries,
-            },
-            time_limit_seconds: match opt("time_limit_seconds") {
-                Some(_) => v.decode_field("time_limit_seconds")?,
-                None => d.time_limit_seconds,
-            },
-        })
-    }
-}
+// Every member is optional so hand-written specs stay terse; an absent
+// one means "no faults of that kind".
+json_record!(FaultSpec {
+    seed [absent = FaultSpec::default().seed],
+    link_derates [absent = FaultSpec::default().link_derates],
+    down_links [absent = FaultSpec::default().down_links],
+    stragglers [absent = FaultSpec::default().stragglers],
+    jitter_seconds [absent = FaultSpec::default().jitter_seconds],
+    stall_probability [absent = FaultSpec::default().stall_probability],
+    stall_seconds [absent = FaultSpec::default().stall_seconds],
+    stall_max_retries [absent = FaultSpec::default().stall_max_retries],
+    time_limit_seconds [absent = FaultSpec::default().time_limit_seconds],
+});
 
 #[cfg(test)]
 mod tests {
+    use overlap_json::{FromJson, Json, ToJson};
+
     use super::*;
 
     fn link(device: u32, axis: usize, forward: bool) -> LinkId {

@@ -249,8 +249,8 @@ impl std::fmt::Display for WireFormat {
     }
 }
 
-/// Externally-tagged layout: unit variants as
-/// bare strings, the int8 variant as `{"Int8Block":{"block":N}}`.
+/// Hand-written: externally tagged — unit variants as bare strings, the
+/// int8 variant as `{"Int8Block":{"block":N}}`.
 impl ToJson for WireFormat {
     fn to_json(&self) -> Json {
         match *self {

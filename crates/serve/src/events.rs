@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use overlap_json::{FromJson, Json, ToJson};
+use overlap_json::{json_record, FromJson, Json, ToJson};
 
 use crate::metrics::ServerMetrics;
 
@@ -192,53 +192,44 @@ impl ServeEvent {
     }
 }
 
+// Hand-written: dispatch on the `type` tag, one flat record per variant.
 impl ToJson for ServeEvent {
     fn to_json(&self) -> Json {
-        let v = Json::obj().with("type", self.kind());
+        let tag = self.kind();
         match self {
-            ServeEvent::Accept { conn } | ServeEvent::Close { conn } => v.with("conn", *conn),
-            ServeEvent::Admit { conn, req, kind, pipelined } => v
-                .with("conn", *conn)
-                .with("req", *req)
-                .with("kind", kind.as_str())
-                .with("pipelined", *pipelined),
+            ServeEvent::Accept { conn } | ServeEvent::Close { conn } => {
+                json_record!(fields ["type" = tag] { conn })
+            }
+            ServeEvent::Admit { conn, req, kind, pipelined } => {
+                json_record!(fields ["type" = tag] { conn, req, kind, pipelined })
+            }
             ServeEvent::BatchCoalesce { conn, req, batch } => {
-                v.with("conn", *conn).with("req", *req).with("batch", batch.as_str())
+                json_record!(fields ["type" = tag] { conn, req, batch })
             }
             ServeEvent::CompileStart { batch, model } => {
-                v.with("batch", batch.as_str()).with("model", model.as_str())
+                json_record!(fields ["type" = tag] { batch, model })
             }
-            ServeEvent::CompileFinish { batch, model, compile_ms, outcome } => v
-                .with("batch", batch.as_str())
-                .with("model", model.as_str())
-                .with("compile_ms", *compile_ms)
-                .with("outcome", outcome.as_str()),
+            ServeEvent::CompileFinish { batch, model, compile_ms, outcome } => {
+                json_record!(fields ["type" = tag] { batch, model, compile_ms, outcome })
+            }
             ServeEvent::CacheOutcome { conn, req, source } => {
-                v.with("conn", *conn).with("req", *req).with("source", source.as_str())
+                json_record!(fields ["type" = tag] { conn, req, source })
             }
-            ServeEvent::Shed { conn, scope } => {
-                v.with("conn", *conn).with("scope", scope.as_str())
+            ServeEvent::Shed { conn, scope } => json_record!(fields ["type" = tag] { conn, scope }),
+            ServeEvent::Done { conn, req, kind, ok, queue_ms, compile_ms, serialize_ms } => {
+                json_record!(fields ["type" = tag] {
+                    conn, req, kind, ok, queue_ms, compile_ms, serialize_ms
+                })
             }
-            ServeEvent::Done { conn, req, kind, ok, queue_ms, compile_ms, serialize_ms } => v
-                .with("conn", *conn)
-                .with("req", *req)
-                .with("kind", kind.as_str())
-                .with("ok", *ok)
-                .with("queue_ms", *queue_ms)
-                .with("compile_ms", *compile_ms)
-                .with("serialize_ms", *serialize_ms),
-            ServeEvent::Drain { reason } => v.with("reason", reason.as_str()),
-            ServeEvent::Fetch { conn, req, key, hit } => v
-                .with("conn", *conn)
-                .with("req", *req)
-                .with("key", key.as_str())
-                .with("hit", *hit),
-            ServeEvent::PeerFetch { node, key, outcome } => v
-                .with("node", node.as_str())
-                .with("key", key.as_str())
-                .with("outcome", outcome.as_str()),
+            ServeEvent::Drain { reason } => json_record!(fields ["type" = tag] { reason }),
+            ServeEvent::Fetch { conn, req, key, hit } => {
+                json_record!(fields ["type" = tag] { conn, req, key, hit })
+            }
+            ServeEvent::PeerFetch { node, key, outcome } => {
+                json_record!(fields ["type" = tag] { node, key, outcome })
+            }
             ServeEvent::PeerState { node, state } => {
-                v.with("node", node.as_str()).with("state", state.as_str())
+                json_record!(fields ["type" = tag] { node, state })
             }
         }
     }
@@ -246,66 +237,30 @@ impl ToJson for ServeEvent {
 
 impl FromJson for ServeEvent {
     fn from_json(v: &Json) -> Result<Self, String> {
-        match v.decode_field::<String>("type")?.as_str() {
-            "accept" => Ok(ServeEvent::Accept { conn: v.decode_field("conn")? }),
-            "close" => Ok(ServeEvent::Close { conn: v.decode_field("conn")? }),
-            "admit" => Ok(ServeEvent::Admit {
-                conn: v.decode_field("conn")?,
-                req: v.decode_field("req")?,
-                kind: v.decode_field("kind")?,
-                pipelined: v.decode_field("pipelined")?,
+        Ok(match v.decode_field::<String>("type")?.as_str() {
+            "accept" => json_record!(from v => ServeEvent::Accept { conn }),
+            "close" => json_record!(from v => ServeEvent::Close { conn }),
+            "admit" => json_record!(from v => ServeEvent::Admit { conn, req, kind, pipelined }),
+            "batch-coalesce" => {
+                json_record!(from v => ServeEvent::BatchCoalesce { conn, req, batch })
+            }
+            "compile-start" => json_record!(from v => ServeEvent::CompileStart { batch, model }),
+            "compile-finish" => json_record!(
+                from v => ServeEvent::CompileFinish { batch, model, compile_ms, outcome }
+            ),
+            "cache-outcome" => {
+                json_record!(from v => ServeEvent::CacheOutcome { conn, req, source })
+            }
+            "shed" => json_record!(from v => ServeEvent::Shed { conn, scope }),
+            "done" => json_record!(from v => ServeEvent::Done {
+                conn, req, kind, ok, queue_ms, compile_ms, serialize_ms
             }),
-            "batch-coalesce" => Ok(ServeEvent::BatchCoalesce {
-                conn: v.decode_field("conn")?,
-                req: v.decode_field("req")?,
-                batch: v.decode_field("batch")?,
-            }),
-            "compile-start" => Ok(ServeEvent::CompileStart {
-                batch: v.decode_field("batch")?,
-                model: v.decode_field("model")?,
-            }),
-            "compile-finish" => Ok(ServeEvent::CompileFinish {
-                batch: v.decode_field("batch")?,
-                model: v.decode_field("model")?,
-                compile_ms: v.decode_field("compile_ms")?,
-                outcome: v.decode_field("outcome")?,
-            }),
-            "cache-outcome" => Ok(ServeEvent::CacheOutcome {
-                conn: v.decode_field("conn")?,
-                req: v.decode_field("req")?,
-                source: v.decode_field("source")?,
-            }),
-            "shed" => Ok(ServeEvent::Shed {
-                conn: v.decode_field("conn")?,
-                scope: v.decode_field("scope")?,
-            }),
-            "done" => Ok(ServeEvent::Done {
-                conn: v.decode_field("conn")?,
-                req: v.decode_field("req")?,
-                kind: v.decode_field("kind")?,
-                ok: v.decode_field("ok")?,
-                queue_ms: v.decode_field("queue_ms")?,
-                compile_ms: v.decode_field("compile_ms")?,
-                serialize_ms: v.decode_field("serialize_ms")?,
-            }),
-            "drain" => Ok(ServeEvent::Drain { reason: v.decode_field("reason")? }),
-            "fetch" => Ok(ServeEvent::Fetch {
-                conn: v.decode_field("conn")?,
-                req: v.decode_field("req")?,
-                key: v.decode_field("key")?,
-                hit: v.decode_field("hit")?,
-            }),
-            "peer-fetch" => Ok(ServeEvent::PeerFetch {
-                node: v.decode_field("node")?,
-                key: v.decode_field("key")?,
-                outcome: v.decode_field("outcome")?,
-            }),
-            "peer-state" => Ok(ServeEvent::PeerState {
-                node: v.decode_field("node")?,
-                state: v.decode_field("state")?,
-            }),
-            other => Err(format!("unknown serve event type {other:?}")),
-        }
+            "drain" => json_record!(from v => ServeEvent::Drain { reason }),
+            "fetch" => json_record!(from v => ServeEvent::Fetch { conn, req, key, hit }),
+            "peer-fetch" => json_record!(from v => ServeEvent::PeerFetch { node, key, outcome }),
+            "peer-state" => json_record!(from v => ServeEvent::PeerState { node, state }),
+            other => return Err(format!("unknown serve event type {other:?}")),
+        })
     }
 }
 
@@ -322,24 +277,7 @@ pub struct EventRecord {
     pub event: ServeEvent,
 }
 
-impl ToJson for EventRecord {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seq", self.seq)
-            .with("t_ms", self.t_ms)
-            .with("event", self.event.to_json())
-    }
-}
-
-impl FromJson for EventRecord {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(EventRecord {
-            seq: v.decode_field("seq")?,
-            t_ms: v.decode_field("t_ms")?,
-            event: v.decode_field("event")?,
-        })
-    }
-}
+json_record!(EventRecord { seq, t_ms, event });
 
 /// Something that watches the event stream. Called synchronously from
 /// the emitting thread (event loop or a pool worker) — implementations

@@ -34,7 +34,7 @@ use std::io::{Read, Write};
 
 use overlap_core::{DecomposeSummary, FallbackRecord, GateDecision, OverlapOptions};
 use overlap_hlo::Module;
-use overlap_json::{FromJson, Json, ToJson};
+use overlap_json::{json_record, FromJson, Json, ToJson};
 use overlap_mesh::FaultSpec;
 use overlap_sim::Report;
 
@@ -250,6 +250,7 @@ pub enum ModelRef {
     Inline(Box<Module>),
 }
 
+// Hand-written: untagged (a bare name, or `{"module": ...}`).
 impl ToJson for ModelRef {
     fn to_json(&self) -> Json {
         match self {
@@ -284,6 +285,7 @@ pub enum MachineSpec {
     GpuCluster { chips: usize },
 }
 
+// Hand-written: a bare string, or an object tagged by `kind`.
 impl ToJson for MachineSpec {
     fn to_json(&self) -> Json {
         match self {
@@ -362,6 +364,14 @@ impl CompileRequest {
     }
 }
 
+json_record!(CompileRequest ["request" = "compile"] {
+    model,
+    machine [absent = MachineSpec::ModelDefault],
+    options [absent = OverlapOptions::paper_default()],
+    fault_spec [skip_none],
+    deadline_ms [skip_none],
+});
+
 /// Every request the server understands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -392,30 +402,16 @@ pub enum Request {
     FleetStats,
 }
 
+// Hand-written: dispatch on the `request` tag.
 impl ToJson for Request {
     fn to_json(&self) -> Json {
         match self {
-            Request::Compile(c) => {
-                let mut v = Json::obj()
-                    .with("request", "compile")
-                    .with("model", c.model.to_json())
-                    .with("machine", c.machine.to_json())
-                    .with("options", c.options.to_json());
-                if let Some(spec) = &c.fault_spec {
-                    v.set("fault_spec", spec.to_json());
-                }
-                if let Some(ms) = c.deadline_ms {
-                    v.set("deadline_ms", ms.to_json());
-                }
-                v
-            }
+            Request::Compile(c) => c.to_json(),
             Request::Stats => Json::obj().with("request", "stats"),
             Request::Ping => Json::obj().with("request", "ping"),
             Request::Shutdown => Json::obj().with("request", "shutdown"),
             Request::Subscribe => Json::obj().with("request", "subscribe"),
-            Request::Fetch { key } => {
-                Json::obj().with("request", "fetch").with("key", key.as_str())
-            }
+            Request::Fetch { key } => json_record!(fields ["request" = "fetch"] { key }),
             Request::FleetStats => Json::obj().with("request", "fleet-stats"),
         }
     }
@@ -424,36 +420,12 @@ impl ToJson for Request {
 impl FromJson for Request {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.decode_field::<String>("request")?.as_str() {
-            "compile" => {
-                let machine = match v.get("machine") {
-                    Some(m) => MachineSpec::from_json(m)?,
-                    None => MachineSpec::ModelDefault,
-                };
-                let options = match v.get("options") {
-                    Some(o) => OverlapOptions::from_json(o)?,
-                    None => OverlapOptions::paper_default(),
-                };
-                let fault_spec = match v.get("fault_spec") {
-                    Some(s) if !s.is_null() => Some(FaultSpec::from_json(s)?),
-                    _ => None,
-                };
-                let deadline_ms = match v.get("deadline_ms") {
-                    Some(d) if !d.is_null() => Some(u64::from_json(d)?),
-                    _ => None,
-                };
-                Ok(Request::Compile(Box::new(CompileRequest {
-                    model: v.decode_field("model")?,
-                    machine,
-                    options,
-                    fault_spec,
-                    deadline_ms,
-                })))
-            }
+            "compile" => Ok(Request::Compile(Box::new(CompileRequest::from_json(v)?))),
             "stats" => Ok(Request::Stats),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
             "subscribe" => Ok(Request::Subscribe),
-            "fetch" => Ok(Request::Fetch { key: v.decode_field("key")? }),
+            "fetch" => Ok(json_record!(from v => Request::Fetch { key })),
             "fleet-stats" => Ok(Request::FleetStats),
             other => Err(format!("unknown request {other:?}")),
         }
@@ -520,9 +492,16 @@ impl ErrorKind {
     }
 }
 
+// Hand-written: `as_str` (logs, `Display`) already is the name table, and
+// `json_enum!` would need a second copy of it.
+impl ToJson for ErrorKind {
+    fn to_json(&self) -> Json {
+        Json::from(self.as_str())
+    }
+}
+
 impl FromJson for ErrorKind {
     fn from_json(v: &Json) -> Result<Self, String> {
-        let s = v.as_str().ok_or("error kind must be a string")?;
         [
             ErrorKind::UnknownVersion,
             ErrorKind::Malformed,
@@ -537,14 +516,8 @@ impl FromJson for ErrorKind {
             ErrorKind::Internal,
         ]
         .into_iter()
-        .find(|k| k.as_str() == s)
-        .ok_or_else(|| format!("unknown error kind {s:?}"))
-    }
-}
-
-impl ToJson for ErrorKind {
-    fn to_json(&self) -> Json {
-        Json::from(self.as_str())
+        .find(|k| v.as_str() == Some(k.as_str()))
+        .ok_or_else(|| format!("expected ErrorKind, got {v}"))
     }
 }
 
@@ -557,23 +530,7 @@ pub struct ErrorResponse {
     pub message: String,
 }
 
-impl ToJson for ErrorResponse {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("response", "error")
-            .with("kind", self.kind.to_json())
-            .with("message", self.message.as_str())
-    }
-}
-
-impl FromJson for ErrorResponse {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ErrorResponse {
-            kind: v.decode_field("kind")?,
-            message: v.decode_field("message")?,
-        })
-    }
-}
+json_record!(ErrorResponse ["response" = "error"] { kind, message });
 
 /// The scalar summary of one simulation, mirroring `Report`'s getters.
 /// Carries everything the dashboards plot without shipping the whole
@@ -615,34 +572,16 @@ impl SimSummary {
     }
 }
 
-impl ToJson for SimSummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("makespan", self.makespan)
-            .with("compute_time", self.compute_time)
-            .with("memory_time", self.memory_time)
-            .with("sync_comm_time", self.sync_comm_time)
-            .with("exposed_async_time", self.exposed_async_time)
-            .with("hidden_async_time", self.hidden_async_time)
-            .with("comm_fraction", self.comm_fraction)
-            .with("total_flops", self.total_flops)
-    }
-}
-
-impl FromJson for SimSummary {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(SimSummary {
-            makespan: v.decode_field("makespan")?,
-            compute_time: v.decode_field("compute_time")?,
-            memory_time: v.decode_field("memory_time")?,
-            sync_comm_time: v.decode_field("sync_comm_time")?,
-            exposed_async_time: v.decode_field("exposed_async_time")?,
-            hidden_async_time: v.decode_field("hidden_async_time")?,
-            comm_fraction: v.decode_field("comm_fraction")?,
-            total_flops: v.decode_field("total_flops")?,
-        })
-    }
-}
+json_record!(SimSummary {
+    makespan,
+    compute_time,
+    memory_time,
+    sync_comm_time,
+    exposed_async_time,
+    hidden_async_time,
+    comm_fraction,
+    total_flops,
+});
 
 /// The *deterministic* half of a compile response: everything here is
 /// a pure function of (module, machine, options, fault spec), so an
@@ -684,48 +623,23 @@ pub struct CompileResult {
     pub speedup: f64,
 }
 
-impl ToJson for CompileResult {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("model", self.model.as_str())
-            .with("num_partitions", self.num_partitions)
-            .with("artifact_key", self.artifact_key.as_str())
-            .with("module_fingerprint", self.module_fingerprint.as_str())
-            .with("machine_fingerprint", self.machine_fingerprint.as_str())
-            .with("options_fingerprint", self.options_fingerprint.as_str())
-            .with("input_identity", self.input_identity.as_str())
-            .with("compiled_identity", self.compiled_identity.as_str())
-            .with("order_len", self.order_len)
-            .with("decisions", self.decisions.to_json())
-            .with("summaries", self.summaries.to_json())
-            .with("fallbacks", self.fallbacks.to_json())
-            .with("baseline", self.baseline.to_json())
-            .with("overlapped", self.overlapped.to_json())
-            .with("speedup", self.speedup)
-    }
-}
-
-impl FromJson for CompileResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(CompileResult {
-            model: v.decode_field("model")?,
-            num_partitions: v.decode_field("num_partitions")?,
-            artifact_key: v.decode_field("artifact_key")?,
-            module_fingerprint: v.decode_field("module_fingerprint")?,
-            machine_fingerprint: v.decode_field("machine_fingerprint")?,
-            options_fingerprint: v.decode_field("options_fingerprint")?,
-            input_identity: v.decode_field("input_identity")?,
-            compiled_identity: v.decode_field("compiled_identity")?,
-            order_len: v.decode_field("order_len")?,
-            decisions: v.decode_field("decisions")?,
-            summaries: v.decode_field("summaries")?,
-            fallbacks: v.decode_field("fallbacks")?,
-            baseline: v.decode_field("baseline")?,
-            overlapped: v.decode_field("overlapped")?,
-            speedup: v.decode_field("speedup")?,
-        })
-    }
-}
+json_record!(CompileResult {
+    model,
+    num_partitions,
+    artifact_key,
+    module_fingerprint,
+    machine_fingerprint,
+    options_fingerprint,
+    input_identity,
+    compiled_identity,
+    order_len,
+    decisions,
+    summaries,
+    fallbacks,
+    baseline,
+    overlapped,
+    speedup,
+});
 
 /// The *advisory* half of a compile response: where the artifact came
 /// from and how long the server took. Deliberately outside
@@ -743,24 +657,7 @@ pub struct ServedInfo {
     pub service_ms: f64,
 }
 
-impl ToJson for ServedInfo {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("source", self.source.as_str())
-            .with("queue_ms", self.queue_ms)
-            .with("service_ms", self.service_ms)
-    }
-}
-
-impl FromJson for ServedInfo {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ServedInfo {
-            source: v.decode_field("source")?,
-            queue_ms: v.decode_field("queue_ms")?,
-            service_ms: v.decode_field("service_ms")?,
-        })
-    }
-}
+json_record!(ServedInfo { source, queue_ms, service_ms });
 
 /// Latency quantiles from the server's log-bucketed histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -777,28 +674,7 @@ pub struct LatencySummary {
     pub max_ms: f64,
 }
 
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("count", self.count)
-            .with("p50_ms", self.p50_ms)
-            .with("p90_ms", self.p90_ms)
-            .with("p99_ms", self.p99_ms)
-            .with("max_ms", self.max_ms)
-    }
-}
-
-impl FromJson for LatencySummary {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(LatencySummary {
-            count: v.decode_field("count")?,
-            p50_ms: v.decode_field("p50_ms")?,
-            p90_ms: v.decode_field("p90_ms")?,
-            p99_ms: v.decode_field("p99_ms")?,
-            max_ms: v.decode_field("max_ms")?,
-        })
-    }
-}
+json_record!(LatencySummary { count, p50_ms, p90_ms, p99_ms, max_ms });
 
 /// Server-wide counters answered to a [`Request::Stats`].
 #[derive(Debug, Clone, PartialEq)]
@@ -853,61 +729,29 @@ pub struct StatsResponse {
     pub latency_buckets: Vec<u64>,
 }
 
-impl ToJson for StatsResponse {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("response", "stats")
-            .with("node", self.node.as_str())
-            .with("uptime_ms", self.uptime_ms)
-            .with("requests", self.requests)
-            .with("ok", self.ok)
-            .with("errors", self.errors)
-            .with("shed", self.shed)
-            .with("coalesced", self.coalesced)
-            .with("batches", self.batches)
-            .with("pipelined", self.pipelined)
-            .with("queue_depth", self.queue_depth)
-            .with("workers", self.workers)
-            .with("qps", self.qps)
-            .with("cache_memory_hits", self.cache_memory_hits)
-            .with("cache_disk_hits", self.cache_disk_hits)
-            .with("cache_peer_hits", self.cache_peer_hits)
-            .with("cache_misses", self.cache_misses)
-            .with("cache_hit_rate", self.cache_hit_rate)
-            .with("fetches", self.fetches)
-            .with("peer_fetches", self.peer_fetches)
-            .with("latency", self.latency.to_json())
-            .with("latency_buckets", self.latency_buckets.to_json())
-    }
-}
-
-impl FromJson for StatsResponse {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(StatsResponse {
-            node: v.decode_field("node")?,
-            uptime_ms: v.decode_field("uptime_ms")?,
-            requests: v.decode_field("requests")?,
-            ok: v.decode_field("ok")?,
-            errors: v.decode_field("errors")?,
-            shed: v.decode_field("shed")?,
-            coalesced: v.decode_field("coalesced")?,
-            batches: v.decode_field("batches")?,
-            pipelined: v.decode_field("pipelined")?,
-            queue_depth: v.decode_field("queue_depth")?,
-            workers: v.decode_field("workers")?,
-            qps: v.decode_field("qps")?,
-            cache_memory_hits: v.decode_field("cache_memory_hits")?,
-            cache_disk_hits: v.decode_field("cache_disk_hits")?,
-            cache_peer_hits: v.decode_field("cache_peer_hits")?,
-            cache_misses: v.decode_field("cache_misses")?,
-            cache_hit_rate: v.decode_field("cache_hit_rate")?,
-            fetches: v.decode_field("fetches")?,
-            peer_fetches: v.decode_field("peer_fetches")?,
-            latency: v.decode_field("latency")?,
-            latency_buckets: v.decode_field("latency_buckets")?,
-        })
-    }
-}
+json_record!(StatsResponse ["response" = "stats"] {
+    node,
+    uptime_ms,
+    requests,
+    ok,
+    errors,
+    shed,
+    coalesced,
+    batches,
+    pipelined,
+    queue_depth,
+    workers,
+    qps,
+    cache_memory_hits,
+    cache_disk_hits,
+    cache_peer_hits,
+    cache_misses,
+    cache_hit_rate,
+    fetches,
+    peer_fetches,
+    latency,
+    latency_buckets,
+});
 
 /// Answer to a cache-peering [`Request::Fetch`].
 #[derive(Debug, Clone, PartialEq)]
@@ -922,27 +766,8 @@ pub struct ArtifactResponse {
     pub entry: Option<Json>,
 }
 
-impl ToJson for ArtifactResponse {
-    fn to_json(&self) -> Json {
-        let entry = match &self.entry {
-            Some(e) => e.clone(),
-            None => Json::Null,
-        };
-        Json::obj()
-            .with("response", "artifact")
-            .with("key", self.key.as_str())
-            .with("entry", entry)
-    }
-}
-
-impl FromJson for ArtifactResponse {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ArtifactResponse {
-            key: v.decode_field("key")?,
-            entry: v.get("entry").filter(|e| !e.is_null()).cloned(),
-        })
-    }
-}
+// `entry` is written as `null` on a miss (and read leniently).
+json_record!(ArtifactResponse ["response" = "artifact"] { key, entry [absent = None] });
 
 /// One node's slice of a [`FleetStatsResponse`].
 #[derive(Debug, Clone, PartialEq)]
@@ -959,28 +784,7 @@ pub struct FleetNodeStatus {
     pub cache_peer_hits: u64,
 }
 
-impl ToJson for FleetNodeStatus {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("node", self.node.as_str())
-            .with("alive", self.alive)
-            .with("requests", self.requests)
-            .with("cache_misses", self.cache_misses)
-            .with("cache_peer_hits", self.cache_peer_hits)
-    }
-}
-
-impl FromJson for FleetNodeStatus {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(FleetNodeStatus {
-            node: v.decode_field("node")?,
-            alive: v.decode_field("alive")?,
-            requests: v.decode_field("requests")?,
-            cache_misses: v.decode_field("cache_misses")?,
-            cache_peer_hits: v.decode_field("cache_peer_hits")?,
-        })
-    }
-}
+json_record!(FleetNodeStatus { node, alive, requests, cache_misses, cache_peer_hits });
 
 /// Cluster-wide aggregate answered to a [`Request::FleetStats`]:
 /// counters summed over every node that answered, latency histograms
@@ -1029,57 +833,27 @@ pub struct FleetStatsResponse {
     pub nodes: Vec<FleetNodeStatus>,
 }
 
-impl ToJson for FleetStatsResponse {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("response", "fleet-stats")
-            .with("origin", self.origin.as_str())
-            .with("total", self.total)
-            .with("alive", self.alive)
-            .with("requests", self.requests)
-            .with("ok", self.ok)
-            .with("errors", self.errors)
-            .with("shed", self.shed)
-            .with("coalesced", self.coalesced)
-            .with("batches", self.batches)
-            .with("pipelined", self.pipelined)
-            .with("fetches", self.fetches)
-            .with("peer_fetches", self.peer_fetches)
-            .with("cache_memory_hits", self.cache_memory_hits)
-            .with("cache_disk_hits", self.cache_disk_hits)
-            .with("cache_peer_hits", self.cache_peer_hits)
-            .with("cache_misses", self.cache_misses)
-            .with("cache_hit_rate", self.cache_hit_rate)
-            .with("latency", self.latency.to_json())
-            .with("nodes", self.nodes.to_json())
-    }
-}
-
-impl FromJson for FleetStatsResponse {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(FleetStatsResponse {
-            origin: v.decode_field("origin")?,
-            total: v.decode_field("total")?,
-            alive: v.decode_field("alive")?,
-            requests: v.decode_field("requests")?,
-            ok: v.decode_field("ok")?,
-            errors: v.decode_field("errors")?,
-            shed: v.decode_field("shed")?,
-            coalesced: v.decode_field("coalesced")?,
-            batches: v.decode_field("batches")?,
-            pipelined: v.decode_field("pipelined")?,
-            fetches: v.decode_field("fetches")?,
-            peer_fetches: v.decode_field("peer_fetches")?,
-            cache_memory_hits: v.decode_field("cache_memory_hits")?,
-            cache_disk_hits: v.decode_field("cache_disk_hits")?,
-            cache_peer_hits: v.decode_field("cache_peer_hits")?,
-            cache_misses: v.decode_field("cache_misses")?,
-            cache_hit_rate: v.decode_field("cache_hit_rate")?,
-            latency: v.decode_field("latency")?,
-            nodes: v.decode_field("nodes")?,
-        })
-    }
-}
+json_record!(FleetStatsResponse ["response" = "fleet-stats"] {
+    origin,
+    total,
+    alive,
+    requests,
+    ok,
+    errors,
+    shed,
+    coalesced,
+    batches,
+    pipelined,
+    fetches,
+    peer_fetches,
+    cache_memory_hits,
+    cache_disk_hits,
+    cache_peer_hits,
+    cache_misses,
+    cache_hit_rate,
+    latency,
+    nodes,
+});
 
 /// A successful compile: the deterministic result plus how it was served.
 #[derive(Debug, Clone, PartialEq)]
@@ -1089,6 +863,8 @@ pub struct CompileResponse {
     /// Cache provenance and timing; varies run to run.
     pub served: ServedInfo,
 }
+
+json_record!(CompileResponse ["response" = "compiled"] { result, served });
 
 /// Every response the server sends.
 #[derive(Debug, Clone, PartialEq)]
@@ -1122,13 +898,11 @@ pub fn event_frame_payload(record: &EventRecord) -> Json {
     Json::obj().with("response", "event").with("record", record.to_json())
 }
 
+// Hand-written: dispatch on the `response` tag.
 impl ToJson for Response {
     fn to_json(&self) -> Json {
         match self {
-            Response::Compiled(c) => Json::obj()
-                .with("response", "compiled")
-                .with("result", c.result.to_json())
-                .with("served", c.served.to_json()),
+            Response::Compiled(c) => c.to_json(),
             Response::Stats(s) => s.to_json(),
             Response::Pong => Json::obj().with("response", "pong"),
             Response::ShuttingDown => Json::obj().with("response", "shutting-down"),
@@ -1144,10 +918,7 @@ impl ToJson for Response {
 impl FromJson for Response {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.decode_field::<String>("response")?.as_str() {
-            "compiled" => Ok(Response::Compiled(Box::new(CompileResponse {
-                result: v.decode_field("result")?,
-                served: v.decode_field("served")?,
-            }))),
+            "compiled" => Ok(Response::Compiled(Box::new(CompileResponse::from_json(v)?))),
             "stats" => Ok(Response::Stats(Box::new(StatsResponse::from_json(v)?))),
             "pong" => Ok(Response::Pong),
             "shutting-down" => Ok(Response::ShuttingDown),

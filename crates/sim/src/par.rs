@@ -7,9 +7,8 @@
 //! `overlap-bench` re-export.
 
 /// Number of worker threads for [`par_map`]: `RAYON_NUM_THREADS` if set
-/// to a positive integer (one knob for both the rayon and the
-/// std-thread execution paths), otherwise the machine's available
-/// parallelism.
+/// to a positive integer (the name predates the built-in pool and is what
+/// the sweep scripts set), otherwise the machine's available parallelism.
 #[must_use]
 pub fn sweep_threads() -> usize {
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
@@ -26,58 +25,49 @@ pub fn sweep_threads() -> usize {
 /// results **in input order**, regardless of which thread finished when —
 /// callers produce byte-identical output serial or parallel.
 ///
-/// With the `parallel` feature the map runs on rayon's global pool;
-/// otherwise a built-in scoped-thread pool with an atomic work-stealing
-/// index is used. Both honor `RAYON_NUM_THREADS` (see [`sweep_threads`]).
+/// A scoped-thread pool with an atomic work-stealing index, sized by
+/// [`sweep_threads`].
 pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        items.par_iter().map(|item| f(item)).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
-        let n = items.len();
-        let threads = sweep_threads().min(n);
-        if threads <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = f(&items[i]);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Results land in their input slot as they arrive, which
-            // erases completion-order nondeterminism.
-            for (i, result) in rx {
-                slots[i] = Some(result);
-            }
-        });
-        slots.into_iter().map(|s| s.expect("worker computed every index")).collect()
+    let n = items.len();
+    let threads = sweep_threads().min(n);
+    if threads <= 1 {
+        return items.iter().map(f).collect();
     }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let next = &next;
+            let f = &f;
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let result = f(&items[i]);
+                if tx.send((i, result)).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        // Results land in their input slot as they arrive, which
+        // erases completion-order nondeterminism.
+        for (i, result) in rx {
+            slots[i] = Some(result);
+        }
+    });
+    slots.into_iter().map(|s| s.expect("worker computed every index")).collect()
 }
 
 #[cfg(test)]

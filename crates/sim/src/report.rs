@@ -1,6 +1,6 @@
 //! Simulation reports and timeline rendering.
 
-use overlap_json::{Json, ToJson};
+use overlap_json::{json_enum, json_record, Json};
 
 /// Which lane of the device a span occupied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,49 +159,33 @@ impl Timeline {
     }
 }
 
-impl ToJson for SpanKind {
-    fn to_json(&self) -> Json {
-        Json::from(format!("{self:?}"))
-    }
-}
+json_enum!(encode SpanKind {
+    Compute = "Compute",
+    Memory = "Memory",
+    SyncCollective = "SyncCollective",
+    DmaForward = "DmaForward",
+    DmaBackward = "DmaBackward",
+    Stall = "Stall",
+});
 
-impl ToJson for Span {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("name", self.name.to_json())
-            .with("kind", self.kind.to_json())
-            .with("start", self.start.to_json())
-            .with("end", self.end.to_json())
-    }
-}
+json_record!(encode Span { name, kind, start, end });
 
-impl ToJson for Timeline {
-    fn to_json(&self) -> Json {
-        Json::obj().with("spans", self.spans.to_json())
-    }
-}
+json_record!(encode Timeline { spans });
 
-impl ToJson for Report {
-    fn to_json(&self) -> Json {
-        let v = Json::obj()
-            .with("makespan", self.makespan.to_json())
-            .with("compute_time", self.compute_time.to_json())
-            .with("memory_time", self.memory_time.to_json())
-            .with("sync_comm_time", self.sync_comm_time.to_json())
-            .with("exposed_async_time", self.exposed_async_time.to_json())
-            .with("hidden_async_time", self.hidden_async_time.to_json())
-            .with("total_flops", self.total_flops.to_json())
-            .with("timeline", self.timeline.to_json());
-        // Emitted only when a fault actually charged time, so fault-free
-        // reports (and every pre-existing figure artifact) keep their
-        // exact byte layout.
-        if self.fault.is_zero() {
-            v
-        } else {
-            v.with("fault", self.fault.to_json())
-        }
-    }
-}
+// `fault` is emitted only when a fault actually charged time, so
+// fault-free reports (and every pre-existing figure artifact) keep their
+// exact byte layout.
+json_record!(encode Report {
+    makespan,
+    compute_time,
+    memory_time,
+    sync_comm_time,
+    exposed_async_time,
+    hidden_async_time,
+    total_flops,
+    timeline,
+    fault [skip_if = FaultAttribution::is_zero],
+});
 
 /// Where a degraded run lost time relative to the pristine machine,
 /// accumulated by the engine's fault path (all zero on fault-free runs).
@@ -232,15 +216,12 @@ impl FaultAttribution {
     }
 }
 
-impl ToJson for FaultAttribution {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("straggler_seconds", self.straggler_seconds.to_json())
-            .with("link_seconds", self.link_seconds.to_json())
-            .with("stall_seconds", self.stall_seconds.to_json())
-            .with("stall_retries", self.stall_retries.to_json())
-    }
-}
+json_record!(encode FaultAttribution {
+    straggler_seconds,
+    link_seconds,
+    stall_seconds,
+    stall_retries,
+});
 
 /// Outcome of a simulation: the makespan, the Fig.-1-style time breakdown
 /// and the FLOPS bookkeeping, plus the full [`Timeline`].
@@ -399,6 +380,7 @@ impl Report {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use overlap_json::ToJson;
 
     fn span(kind: SpanKind, start: f64, end: f64) -> Span {
         Span { name: "s".into(), kind, start, end }
