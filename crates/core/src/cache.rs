@@ -314,6 +314,13 @@ impl ArtifactCache {
         self.verify_hits = verify;
     }
 
+    /// Whether every hit is recompiled and compared
+    /// ([`ArtifactCache::set_verify_hits`], `OVERLAP_CACHE_VERIFY=1`).
+    #[must_use]
+    pub fn verifies_hits(&self) -> bool {
+        self.verify_hits
+    }
+
     /// Whether lookups can hit at all (false only for
     /// [`ArtifactCache::disabled`]).
     #[must_use]

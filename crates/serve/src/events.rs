@@ -60,7 +60,8 @@ pub enum ServeEvent {
         /// `subscribe`).
         kind: String,
         /// Whether the connection already had at least one request in
-        /// flight when this one arrived (wire pipelining observed).
+        /// flight when this one arrived, or this frame was read from
+        /// the socket behind another (wire pipelining observed).
         pipelined: bool,
     },
     /// A compile request joined an already in-flight batch with the
@@ -124,7 +125,8 @@ pub enum ServeEvent {
         ok: bool,
         /// Decode-to-dispatch wait (admission + dispatch queue).
         queue_ms: f64,
-        /// Pool execution time (0 for inline requests).
+        /// Pool execution time (0 for inline requests; the index
+        /// lookup for a compile answered from a finished job).
         compile_ms: f64,
         /// Response encoding time.
         serialize_ms: f64,
@@ -621,7 +623,8 @@ pub struct DecisionSummary {
     /// Cache provenance per compile answer, in completion order.
     pub cache_outcomes: Vec<String>,
     /// Compile-job outcomes (`memory`/`disk`/`compiled`/`error`) in
-    /// completion order.
+    /// completion order; requests answered from a finished job ran
+    /// none and appear only in `cache_outcomes`.
     pub job_outcomes: Vec<String>,
     /// Requests or connections shed.
     pub sheds: u64,

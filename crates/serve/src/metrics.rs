@@ -42,6 +42,10 @@ pub struct ServerMetrics {
     pub coalesced: AtomicU64,
     /// Compile jobs dispatched to the pool.
     pub batches: AtomicU64,
+    /// Compile requests answered on the loop thread from a finished
+    /// job's result: memory hits that reached neither the pool nor the
+    /// `ArtifactCache`'s own counters.
+    pub loop_hits: AtomicU64,
     /// Requests that arrived while their connection already had a
     /// request in flight.
     pub pipelined: AtomicU64,
@@ -71,6 +75,7 @@ impl ServerMetrics {
             shed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             batches: AtomicU64::new(0),
+            loop_hits: AtomicU64::new(0),
             pipelined: AtomicU64::new(0),
             fetches: AtomicU64::new(0),
             peer_fetches: AtomicU64::new(0),

@@ -648,7 +648,9 @@ json_record!(CompileResult {
 pub struct ServedInfo {
     /// `"memory"`, `"disk"` or `"compiled"` (`CacheOutcome::as_str`),
     /// or `"coalesced"` for a request that joined another request's
-    /// in-flight batch and shared its artifact.
+    /// in-flight batch and shared its artifact. `"memory"` also covers
+    /// a request answered on the event-loop thread with the result an
+    /// equal request's job already finished with — no pool job ran.
     pub source: String,
     /// Time the request waited between frame decode and dispatch
     /// (admission plus compile-pool queueing).

@@ -13,19 +13,27 @@
 //!
 //! Compiles never run on the loop thread. Each is a job on a small CPU
 //! pool, delivered back through a completion list plus a waker ring.
-//! In front of the pool sits *fingerprint batching*: a compile request
-//! whose [`batch_key`] matches a job still in flight joins that job as
-//! a follower instead of dispatching its own (its `served.source` says
-//! `"coalesced"`); only the representative request executes, and the
-//! single-flight `ArtifactCache` underneath still dedups across
-//! *different* batches. Requests carrying a `deadline_ms` always
-//! dispatch solo — a deadline is a per-request promise that must not
-//! silently extend to batch-mates.
+//! In front of the pool sits *fingerprint batching*, one index from
+//! [`batch_key`] to a job in flight *or finished*. A compile request
+//! whose key matches a job still in flight joins that job as a
+//! follower instead of dispatching its own (its `served.source` says
+//! `"coalesced"`); one whose key matches a finished job is answered on
+//! the loop thread with the result that job returned (`"memory"`) —
+//! equal keys provably produce byte-identical results, and a ready
+//! answer must not queue behind compiles it does not depend on. Only
+//! the representative request executes, and the single-flight
+//! `ArtifactCache` underneath still dedups across *different* batches.
+//! Requests carrying a `deadline_ms` never *join* — a deadline is a
+//! per-request promise that must not silently extend to batch-mates —
+//! but a finished result answers them too: an instant answer cannot
+//! miss a deadline. Finished entries are bounded by [`FINISHED_CAP`],
+//! and none are kept when the cache is disabled or verifies its hits:
+//! the operator asked for every request to reach the pipeline.
 //!
 //! Backpressure is per *request* now, not per connection: when the
-//! pool's dispatch queue is at `queue_depth`, a compile is answered
-//! with a typed [`ErrorKind::Overloaded`] frame on its own slot and
-//! the connection lives on.
+//! pool's dispatch queue is at `queue_depth`, a compile that needs a
+//! worker is answered with a typed [`ErrorKind::Overloaded`] frame on
+//! its own slot and the connection lives on.
 //!
 //! Everything the server does is published on the [`EventBus`]
 //! (accept, admit, batch-coalesce, compile-start/finish,
@@ -66,6 +74,11 @@ use crate::reactor::{Interest, Poller, Token, Waker};
 /// flag or a subscriber's event queue can get while nothing else is
 /// happening. Completions don't wait on it — the pool rings the waker.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Finished results the coalescing index keeps (oldest dropped first).
+/// A result is ~7 kB, so a full index costs the daemon about 7 MB; a
+/// dropped key simply dispatches again and is a cheap cache hit.
+const FINISHED_CAP: usize = 1024;
 
 /// Reads a `usize` tuning knob from the environment; unset, empty or
 /// unparseable values fall back.
@@ -121,7 +134,9 @@ impl ShutdownHandle {
 /// pool too because it blocks on peer sockets, which the loop thread
 /// must never do.
 enum JobWork {
-    Compile(Box<CompileRequest>),
+    /// The request and its [`batch_key`], under which the loop files
+    /// the result.
+    Compile(Box<CompileRequest>, Fingerprint),
     FleetStats,
 }
 
@@ -129,8 +144,6 @@ enum JobWork {
 /// loop-side; the pool only needs what to execute.
 struct Job {
     id: u64,
-    /// Hex batch fingerprint (or a synthetic tag), for events.
-    batch: String,
     work: JobWork,
     /// Anchored at request receipt, so pool queueing counts against it.
     deadline: Deadline,
@@ -138,13 +151,15 @@ struct Job {
 
 /// A pool job's successful payload.
 enum JobOutput {
-    Compile(Box<CompileResult>, CacheOutcome),
+    Compile(Arc<CompileResult>, CacheOutcome),
     FleetStats(Box<FleetStatsResponse>),
 }
 
 /// What the pool sends back.
 struct Completion {
     job_id: u64,
+    /// The compile job's batch key (`None` for `fleet-stats`).
+    key: Option<Fingerprint>,
     result: Result<JobOutput, ExecError>,
     compile_ms: f64,
 }
@@ -181,8 +196,10 @@ impl Shared {
     /// loop) because pool workers build it too, when aggregating
     /// `fleet-stats`.
     fn stats(&self) -> StatsResponse {
-        let cache = self.cache.stats();
         let m = &self.metrics;
+        let mut cache = self.cache.stats();
+        // A loop-thread answer is a memory hit the cache never saw.
+        cache.memory_hits += m.loop_hits.load(Ordering::Relaxed);
         StatsResponse {
             node: self.fleet.get().map_or_else(String::new, |f| f.node_id()),
             uptime_ms: m.uptime_ms(),
@@ -358,10 +375,10 @@ fn pool_worker(shared: &Shared) {
         };
         let Some(job) = job else { return };
         let completion = match job.work {
-            JobWork::Compile(req) => {
+            JobWork::Compile(req, key) => {
                 let model = model_label(&req);
                 shared.bus.emit(ServeEvent::CompileStart {
-                    batch: job.batch.clone(),
+                    batch: key.to_string(),
                     model: model.clone(),
                 });
                 let started = Instant::now();
@@ -379,14 +396,15 @@ fn pool_worker(shared: &Shared) {
                     Err(_) => "error".to_string(),
                 };
                 shared.bus.emit(ServeEvent::CompileFinish {
-                    batch: job.batch,
+                    batch: key.to_string(),
                     model,
                     compile_ms,
                     outcome,
                 });
                 Completion {
                     job_id: job.id,
-                    result: result.map(|(r, o)| JobOutput::Compile(Box::new(r), o)),
+                    key: Some(key),
+                    result: result.map(|(r, o)| JobOutput::Compile(Arc::new(r), o)),
                     compile_ms,
                 }
             }
@@ -396,6 +414,7 @@ fn pool_worker(shared: &Shared) {
                 let agg = aggregate_stats(fleet, shared.stats(), Some(&shared.bus));
                 Completion {
                     job_id: job.id,
+                    key: None,
                     result: Ok(JobOutput::FleetStats(Box::new(agg))),
                     compile_ms: started.elapsed().as_secs_f64() * 1e3,
                 }
@@ -504,6 +523,58 @@ struct Member {
     leader: bool,
 }
 
+/// What a compile request with a given [`batch_key`] meets.
+enum Batch {
+    /// A pool job is producing the result; requests join it.
+    InFlight(u64),
+    /// The result a job returned for this key; repeats are answered
+    /// with it on the loop thread.
+    Finished(Arc<CompileResult>),
+}
+
+/// The coalescing index, owned by the loop thread alone: batch
+/// fingerprint → the job in flight for it, or the result that job
+/// finished with.
+#[derive(Default)]
+struct BatchIndex {
+    entries: HashMap<Fingerprint, Batch>,
+    /// Keys of the `Finished` entries, oldest first: the eviction
+    /// order that holds them to [`FINISHED_CAP`].
+    finished: VecDeque<Fingerprint>,
+}
+
+impl BatchIndex {
+    fn get(&self, key: Fingerprint) -> Option<&Batch> {
+        self.entries.get(&key)
+    }
+
+    /// Job `job_id` was dispatched for `key` and accepts joiners. (Never
+    /// over a finished entry: those are answered, not dispatched.)
+    fn dispatched(&mut self, key: Fingerprint, job_id: u64) {
+        self.entries.insert(key, Batch::InFlight(job_id));
+    }
+
+    /// Job `job_id` for `key` is over. A result to keep replaces
+    /// whatever the key held (any job's result for it is the same
+    /// bytes); otherwise the key stops naming this job, so the next
+    /// request dispatches afresh.
+    fn settled(&mut self, key: Fingerprint, job_id: u64, keep: Option<Arc<CompileResult>>) {
+        let Some(result) = keep else {
+            if matches!(self.entries.get(&key), Some(Batch::InFlight(id)) if *id == job_id) {
+                self.entries.remove(&key);
+            }
+            return;
+        };
+        if !matches!(self.entries.insert(key, Batch::Finished(result)), Some(Batch::Finished(_))) {
+            self.finished.push_back(key);
+        }
+        while self.finished.len() > FINISHED_CAP {
+            let oldest = self.finished.pop_front().expect("a non-empty queue");
+            self.entries.remove(&oldest);
+        }
+    }
+}
+
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 
@@ -514,8 +585,11 @@ struct EventLoop<'a> {
     conns: HashMap<Token, Conn>,
     /// Loop-side job bookkeeping: who to answer when `job_id` lands.
     members: HashMap<u64, Vec<Member>>,
-    /// Coalescing window: batch fingerprint → in-flight job id.
-    batch_index: HashMap<u128, u64>,
+    batch_index: BatchIndex,
+    /// Whether finished results may be replayed: not when the operator
+    /// disabled the cache or asked for every hit to be verified — both
+    /// promise that each request reaches `execute_with_peers`.
+    keep_finished: bool,
     next_token: usize,
     next_conn_id: u64,
     next_req_id: u64,
@@ -536,7 +610,8 @@ impl<'a> EventLoop<'a> {
             poller,
             conns: HashMap::new(),
             members: HashMap::new(),
-            batch_index: HashMap::new(),
+            batch_index: BatchIndex::default(),
+            keep_finished: shared.cache.is_enabled() && !shared.cache.verifies_hits(),
             next_token: 2,
             next_conn_id: 0,
             next_req_id: 0,
@@ -698,13 +773,20 @@ impl<'a> EventLoop<'a> {
     /// Drains every buffered frame off the socket (level-triggered:
     /// stop only at `WouldBlock`, never leave bytes behind).
     fn read_ready(&mut self, token: Token) {
+        // A frame found buffered behind another was written before its
+        // predecessor's answer could have been read: wire pipelining,
+        // even when that answer has already left on the loop thread.
+        let mut behind = false;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if conn.closing {
                 return;
             }
             match conn.reader.poll(&mut conn.stream) {
-                FrameEvent::Frame(payload) => self.admit_frame(token, &payload),
+                FrameEvent::Frame(payload) => {
+                    self.admit_frame(token, &payload, behind);
+                    behind = true;
+                }
                 FrameEvent::Idle => return,
                 FrameEvent::Closed => {
                     let Some(conn) = self.conns.get_mut(&token) else { return };
@@ -751,12 +833,12 @@ impl<'a> EventLoop<'a> {
     // -- admission ----------------------------------------------------------
 
     /// One decoded frame becomes one ordered response slot.
-    fn admit_frame(&mut self, token: Token, payload: &Json) {
+    fn admit_frame(&mut self, token: Token, payload: &Json, behind: bool) {
         self.next_req_id += 1;
         let req_id = self.next_req_id;
         let Some(conn) = self.conns.get_mut(&token) else { return };
         let conn_id = conn.id;
-        let pipelined = !conn.slots.is_empty();
+        let pipelined = behind || !conn.slots.is_empty();
         let admitted = Instant::now();
         let request = Request::from_json(payload);
         let kind = match &request {
@@ -865,14 +947,23 @@ impl<'a> EventLoop<'a> {
             self.fill_inline(token, req_id, "compile", &resp, false);
             return;
         }
-        // Batching first: joining an in-flight job costs nothing, so
-        // it is exempt from queue-depth shedding.
-        let solo = req.deadline_ms.is_some();
-        let key = if solo { None } else { Some(batch_key(&req)) };
-        if let Some(key) = key {
-            if let Some(&job_id) = self.batch_index.get(&key.as_u128()) {
+        let deadline = Deadline::from_request(req.deadline_ms);
+        // The index first: a finished result or an in-flight job needs
+        // no worker, so neither is subject to queue-depth shedding.
+        let key = batch_key(&req);
+        let joins = req.deadline_ms.is_none();
+        match self.batch_index.get(key) {
+            Some(Batch::Finished(result)) => {
+                let output = Ok(JobOutput::Compile(Arc::clone(result), CacheOutcome::MemoryHit));
+                self.shared.metrics.loop_hits.fetch_add(1, Ordering::Relaxed);
+                self.park(token, req_id);
+                let member = Member { token, req_id, kind: "compile", admitted, leader: true };
+                let lookup_ms = admitted.elapsed().as_secs_f64() * 1e3;
+                self.answer_member(&member, &output, lookup_ms);
+                return;
+            }
+            Some(&Batch::InFlight(job_id)) if joins => {
                 if let Some(members) = self.members.get_mut(&job_id) {
-                    let conn_id = self.conns.get(&token).map_or(0, |c| c.id);
                     members.push(Member {
                         token,
                         req_id,
@@ -880,9 +971,8 @@ impl<'a> EventLoop<'a> {
                         admitted,
                         leader: false,
                     });
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.slots.push_back(Slot::Pending { req_id });
-                    }
+                    self.park(token, req_id);
+                    let conn_id = self.conns.get(&token).map_or(0, |c| c.id);
                     self.shared.bus.emit(ServeEvent::BatchCoalesce {
                         conn: conn_id,
                         req: req_id,
@@ -890,10 +980,8 @@ impl<'a> EventLoop<'a> {
                     });
                     return;
                 }
-                // Stale index entry (job already delivered): fall
-                // through and dispatch fresh.
-                self.batch_index.remove(&key.as_u128());
             }
+            _ => {}
         }
         if self.shared.queued_jobs() >= self.shared.queue_depth {
             let conn_id = self.conns.get(&token).map_or(0, |c| c.id);
@@ -909,23 +997,26 @@ impl<'a> EventLoop<'a> {
         }
         self.next_job_id += 1;
         let job_id = self.next_job_id;
-        let deadline = Deadline::from_request(req.deadline_ms);
-        let batch = key.map_or_else(|| format!("solo-{job_id}"), |k| k.to_string());
-        if let Some(k) = key {
-            self.batch_index.insert(k.as_u128(), job_id);
+        if joins {
+            self.batch_index.dispatched(key, job_id);
         }
         self.members.insert(
             job_id,
             vec![Member { token, req_id, kind: "compile", admitted, leader: true }],
         );
+        self.park(token, req_id);
+        {
+            let mut queue = self.shared.jobs.lock().expect("job queue lock");
+            queue.push_back(Job { id: job_id, work: JobWork::Compile(req, key), deadline });
+        }
+        self.shared.jobs_ready.notify_one();
+    }
+
+    /// Reserves the request's place in its connection's response order.
+    fn park(&mut self, token: Token, req_id: u64) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.slots.push_back(Slot::Pending { req_id });
         }
-        {
-            let mut queue = self.shared.jobs.lock().expect("job queue lock");
-            queue.push_back(Job { id: job_id, batch, work: JobWork::Compile(req), deadline });
-        }
-        self.shared.jobs_ready.notify_one();
     }
 
     /// `fleet-stats` fans out to peer sockets, so it runs on the pool
@@ -940,14 +1031,11 @@ impl<'a> EventLoop<'a> {
             job_id,
             vec![Member { token, req_id, kind: "fleet-stats", admitted, leader: true }],
         );
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.slots.push_back(Slot::Pending { req_id });
-        }
+        self.park(token, req_id);
         {
             let mut queue = self.shared.jobs.lock().expect("job queue lock");
             queue.push_back(Job {
                 id: job_id,
-                batch: format!("fleet-stats-{job_id}"),
                 work: JobWork::FleetStats,
                 deadline: Deadline::none(),
             });
@@ -960,28 +1048,39 @@ impl<'a> EventLoop<'a> {
     fn deliver_completions(&mut self) {
         let completions: Vec<Completion> =
             std::mem::take(&mut *self.shared.completions.lock().expect("completion list lock"));
-        for completion in completions {
-            let Some(members) = self.members.remove(&completion.job_id) else { continue };
-            // Retire the coalescing window for this job, if it was the
-            // one indexed.
-            self.batch_index.retain(|_, &mut id| id != completion.job_id);
-            for member in members {
-                self.answer_member(&member, &completion);
+        for Completion { job_id, key, result, compile_ms } in completions {
+            if let Some(key) = key {
+                // The key's window moves from in flight to finished —
+                // or closes, on an error or when nothing may be kept.
+                let keep = match &result {
+                    Ok(JobOutput::Compile(r, _)) if self.keep_finished => Some(Arc::clone(r)),
+                    _ => None,
+                };
+                self.batch_index.settled(key, job_id, keep);
+            }
+            for member in self.members.remove(&job_id).unwrap_or_default() {
+                self.answer_member(&member, &result, compile_ms);
             }
         }
     }
 
-    /// Builds one member's response from a job completion and fills
-    /// its slot.
-    fn answer_member(&mut self, member: &Member, completion: &Completion) {
+    /// Builds one member's response from a job's outcome — just
+    /// delivered by the pool, or found finished in the index — and
+    /// fills its slot. `compile_ms` is what producing the answer took.
+    fn answer_member(
+        &mut self,
+        member: &Member,
+        result: &Result<JobOutput, ExecError>,
+        compile_ms: f64,
+    ) {
         let Some(conn) = self.conns.get_mut(&member.token) else { return };
         let conn_id = conn.id;
         // A member that joined a job already under way waited for only
         // the rest of it: never report more service than its own wait.
         let total_ms = member.admitted.elapsed().as_secs_f64() * 1e3;
-        let service_ms = completion.compile_ms.min(total_ms);
+        let service_ms = compile_ms.min(total_ms);
         let queue_ms = total_ms - service_ms;
-        let (resp, ok, source) = match &completion.result {
+        let (resp, ok, source) = match result {
             Ok(JobOutput::Compile(result, outcome)) => {
                 let source = if member.leader {
                     outcome.as_str().to_string()
@@ -1166,6 +1265,53 @@ mod tests {
         assert!(out.flush_to(&mut w).unwrap());
         assert_eq!(&w.accepted, b"aaaabbbb");
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn finished_entries_are_capped_and_never_cost_an_in_flight_one() {
+        let (result, _) = crate::exec::execute(
+            &CompileRequest::named("GPT_32B"),
+            &ArtifactCache::in_memory(),
+            Deadline::none(),
+        )
+        .unwrap();
+        let result = Arc::new(result);
+        let key = |i: usize| {
+            let mut h = overlap_json::StableHasher::new("batch-index-test");
+            h.write_usize(i);
+            h.finish()
+        };
+        let finished = |index: &BatchIndex, i| matches!(index.get(key(i)), Some(Batch::Finished(_)));
+
+        // A job in flight since before anything finished.
+        let mut index = BatchIndex::default();
+        index.dispatched(key(0), 7);
+        let extra = 5;
+        for i in 1..=FINISHED_CAP + extra {
+            index.dispatched(key(i), 100 + i as u64);
+            index.settled(key(i), 100 + i as u64, Some(Arc::clone(&result)));
+        }
+        assert_eq!(index.finished.len(), FINISHED_CAP);
+        assert_eq!(index.entries.len(), FINISHED_CAP + 1);
+        assert!(matches!(index.get(key(0)), Some(Batch::InFlight(7))));
+        // The oldest results went; looking one up finds nothing, so its
+        // next request dispatches — and the result is kept once more.
+        assert!((1..=extra).all(|i| index.get(key(i)).is_none()));
+        assert!(finished(&index, extra + 1));
+        index.dispatched(key(1), 8);
+        index.settled(key(1), 8, Some(Arc::clone(&result)));
+        assert!(finished(&index, 1) && !finished(&index, extra + 1));
+        assert_eq!(index.finished.len(), FINISHED_CAP);
+
+        // A job that leaves nothing to keep closes its own window only.
+        index.settled(key(0), 9, None);
+        assert!(matches!(index.get(key(0)), Some(Batch::InFlight(7))));
+        index.settled(key(0), 7, None);
+        assert!(index.get(key(0)).is_none());
+        // A second result for a finished key is the same bytes, not a
+        // second entry.
+        index.settled(key(1), 10, Some(result));
+        assert_eq!(index.finished.len(), FINISHED_CAP);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   matching job is in flight join that job instead of dispatching
 //!   their own; with one pool worker the join counts are exact, not
 //!   racy.
+//! * **Finished results** — a request whose fingerprint names a job
+//!   already finished is answered on the loop thread with no job at
+//!   all, yet leaves in request order behind a slow compile.
 //! * **Served times** — no response, a coalesced joiner's included,
 //!   reports more queue + service time than its client waited.
 //! * **Drain** — a shutdown queued behind pipelined compiles answers
@@ -206,6 +209,75 @@ fn batch_coalescing_is_exact_with_one_worker() {
 }
 
 #[test]
+fn finished_results_answer_in_request_order_without_a_job() {
+    let collect = Arc::new(CollectObserver::default());
+    let config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, queue_depth: 16 };
+    let observers = vec![Arc::clone(&collect) as Arc<dyn EventObserver>];
+    let server =
+        Server::bind_with_observers(&config, ArtifactCache::in_memory(), observers).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || server.run());
+
+    let (cold_a, warm_b, cold_c) =
+        (request("memo_a", 48), request("memo_b", 1), request("memo_c", 1));
+    let expected = [oracle(&cold_a), oracle(&warm_b), oracle(&warm_b), oracle(&cold_c)];
+    Client::connect(&addr).unwrap().compile(warm_b.clone()).unwrap();
+
+    // Both warm answers are ready the moment their frames decode, long
+    // before the slow compile ahead of them — and still leave after it.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = FrameReader::new();
+    let burst: Vec<Request> = [cold_a, warm_b.clone(), warm_b, cold_c]
+        .into_iter()
+        .map(|req| Request::Compile(Box::new(req)))
+        .collect();
+    send_burst(&mut stream, &burst);
+    let mut sources = Vec::new();
+    for (i, expected) in expected.iter().enumerate() {
+        let Response::Compiled(c) = recv_response(&mut stream, &mut reader) else {
+            panic!("response {i} was not a compile");
+        };
+        assert_eq!(&c.result.to_json().to_string(), expected, "response {i} out of order");
+        sources.push(c.served.source.clone());
+    }
+    assert_eq!(sources, ["compiled", "memory", "memory", "compiled"]);
+    drop(stream);
+
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    server.join().unwrap().unwrap();
+
+    // A loop-thread hit's whole life is admit → cache-outcome → done;
+    // only the three first-touch compiles started a job.
+    let events: Vec<ServeEvent> = collect.snapshot().into_iter().map(|r| r.event).collect();
+    let life_of = |wanted: u64| -> Vec<&'static str> {
+        events
+            .iter()
+            .filter(|e| match e {
+                ServeEvent::Admit { req, .. }
+                | ServeEvent::BatchCoalesce { req, .. }
+                | ServeEvent::CacheOutcome { req, .. }
+                | ServeEvent::Done { req, .. } => *req == wanted,
+                _ => false,
+            })
+            .map(ServeEvent::kind)
+            .collect()
+    };
+    let hits: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            ServeEvent::CacheOutcome { req, source, .. } if source == "memory" => Some(*req),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(hits.len(), 2);
+    for req in hits {
+        assert_eq!(life_of(req), ["admit", "cache-outcome", "done"]);
+    }
+    let jobs = |e: &&ServeEvent| matches!(e, ServeEvent::CompileStart { .. });
+    assert_eq!(events.iter().filter(jobs).count(), 3);
+}
+
+#[test]
 fn served_times_never_exceed_client_latency() {
     let collect = Arc::new(CollectObserver::default());
     let config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, queue_depth: 16 };
@@ -378,11 +450,11 @@ fn record_stream_replays_to_identical_decisions() {
     assert_eq!(DecisionSummary::from_records(&replayed), live_summary);
 
     // The decisions themselves are what the workload forces. Note the
-    // warm re-compile still dispatches a (cheap) job — batching and
-    // caching both live behind the dispatch queue — so it shows up in
-    // the job outcomes too, as a "memory" completion.
+    // warm re-compile dispatches no job: its key names a finished job
+    // in the batch index, so the loop thread answers it ("memory") and
+    // only the two first-touch compiles show up in the job outcomes.
     assert_eq!(live_summary.cache_outcomes, ["compiled", "memory", "compiled"]);
-    assert_eq!(live_summary.job_outcomes, ["compiled", "memory", "compiled"]);
+    assert_eq!(live_summary.job_outcomes, ["compiled", "compiled"]);
     assert_eq!(live_summary.sheds, 0);
     assert_eq!(live_summary.coalesced, 0);
     assert!(live_summary.drained);

@@ -38,10 +38,16 @@ use overlap_serve::{
 /// modules would share a cache slot (and recompile on every identity
 /// mismatch) instead of deduping independently.
 fn tiny_module(name: &str) -> Module {
+    tiny_module_with_input(name, "x")
+}
+
+/// [`tiny_module`] with its first parameter called `input`: same
+/// structure (same artifact key), different identity.
+fn tiny_module_with_input(name: &str, input: &str) -> Module {
     let n = 4;
     let rows = 2048 + 512 * (name.bytes().map(usize::from).sum::<usize>() % 4);
     let mut b = Builder::new(name, n);
-    let x = b.parameter(Shape::new(DType::BF16, vec![rows, 1024]), "x");
+    let x = b.parameter(Shape::new(DType::BF16, vec![rows, 1024]), input);
     let w = b.parameter(Shape::new(DType::BF16, vec![1024, 4096 / n]), "w");
     let wg = b.all_gather(w, 1, ReplicaGroups::full(n), "wg");
     let y = b.einsum(x, wg, DotDims::matmul(), "y");
@@ -612,4 +618,211 @@ fn malformed_frames_get_typed_responses_over_the_wire() {
     let mut client = Client::connect(&addr).unwrap();
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// 4. Finished results: replayed bytes, what must still dispatch, the switches
+// ---------------------------------------------------------------------------
+
+/// The ledger's three strategy sets (`paper`, `chunk2-uni`, `int8`):
+/// they drive the passes — and fill `decisions`/`summaries`/
+/// `fallbacks` — differently.
+fn strategy_sets() -> [OverlapOptions; 3] {
+    use overlap_core::{RingDirection, StrategySpec};
+    let paper = StrategySpec::paper_default();
+    [
+        OverlapOptions::paper_default(),
+        OverlapOptions::with_strategy(paper.with_ring(RingDirection::Unidirectional).with_chunk(2)),
+        OverlapOptions {
+            error_budget: Some(5e-2),
+            ..OverlapOptions::with_strategy(paper.with_wire(overlap_hlo::WireFormat::int8()))
+        },
+    ]
+}
+
+fn oracle(req: &CompileRequest) -> String {
+    let (result, _) = execute(req, &ArtifactCache::in_memory(), Deadline::none()).unwrap();
+    result.to_json().to_string()
+}
+
+#[test]
+fn repeat_answers_replay_the_first_byte_for_byte() {
+    let (addr, server) = spawn_server(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue_depth: 16,
+    });
+    let mut requests = Vec::new();
+    for name in ["GPT_32B", "BigSSL_10B", "GPT_64B"] {
+        for options in strategy_sets() {
+            requests.push(CompileRequest { options, ..CompileRequest::named(name) });
+        }
+    }
+    requests.push(CompileRequest {
+        fault_spec: Some(FaultSpec::seeded(7).with_straggler(0, 2.0)),
+        ..CompileRequest::named("GPT_32B")
+    });
+
+    let mut client = Client::connect(&addr).unwrap();
+    for req in &requests {
+        let first = client.compile(req.clone()).unwrap();
+        assert_eq!(first.served.source, "compiled");
+        let jobs = client.stats().unwrap().batches;
+        let repeat = client.compile(req.clone()).unwrap();
+        assert_eq!(repeat.served.source, "memory");
+        assert_eq!(client.stats().unwrap().batches, jobs, "a repeat must not reach the pool");
+        let first = first.result.to_json().to_string();
+        assert_eq!(repeat.result.to_json().to_string(), first, "{:?}", req.model);
+        assert_eq!(first, oracle(req), "{:?}", req.model);
+    }
+
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn any_changed_request_field_dispatches_a_job() {
+    let (addr, server) = spawn_server(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 8,
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let base = CompileRequest {
+        fault_spec: Some(FaultSpec::seeded(1).with_straggler(0, 2.0)),
+        ..inline_request("diff_base")
+    };
+    // Same structure, one instruction renamed: the artifact key cannot
+    // tell the two apart, the batch key must.
+    let renamed = tiny_module_with_input("diff_base", "x_renamed");
+    let rows: [(&str, CompileRequest); 5] = [
+        ("model", CompileRequest { model: inline_request("diff_other").model, ..base.clone() }),
+        ("machine", CompileRequest { machine: MachineSpec::GpuCluster { chips: 4 }, ..base.clone() }),
+        (
+            "one option",
+            CompileRequest {
+                options: OverlapOptions { disable_cost_gate: true, ..base.options },
+                ..base.clone()
+            },
+        ),
+        (
+            "fault-spec seed",
+            CompileRequest {
+                fault_spec: Some(FaultSpec::seeded(2).with_straggler(0, 2.0)),
+                ..base.clone()
+            },
+        ),
+        (
+            "inline instruction name",
+            CompileRequest { model: ModelRef::Inline(Box::new(renamed)), ..base.clone() },
+        ),
+    ];
+
+    client.compile(base.clone()).unwrap();
+    assert_eq!(client.compile(base.clone()).unwrap().served.source, "memory");
+    for (field, req) in rows {
+        let jobs = client.stats().unwrap().batches;
+        let resp = client.compile(req.clone()).unwrap();
+        assert_eq!(client.stats().unwrap().batches, jobs + 1, "{field}: no job dispatched");
+        assert_eq!(resp.result.to_json().to_string(), oracle(&req), "{field}");
+    }
+
+    // An errored job leaves nothing to replay: the same request
+    // dispatches again.
+    for _ in 0..2 {
+        let jobs = client.stats().unwrap().batches;
+        assert!(client.compile(CompileRequest::named("NOT_A_MODEL")).is_err());
+        assert_eq!(client.stats().unwrap().batches, jobs + 1);
+    }
+    let late = CompileRequest { deadline_ms: Some(0), ..inline_request("diff_late") };
+    match client.compile(late.clone()).unwrap_err() {
+        ClientError::Server(e) => assert_eq!(e.kind, ErrorKind::DeadlineExceeded),
+        other => panic!("expected deadline-exceeded, got {other}"),
+    }
+    let in_time = client.compile(CompileRequest { deadline_ms: None, ..late }).unwrap();
+    assert_eq!(in_time.served.source, "compiled", "the expired job must not have been kept");
+
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn warm_requests_are_never_shed_and_deadlines_do_not_bypass_the_index() {
+    let (addr, server) = spawn_server(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 1,
+    });
+    let mut control = Client::connect(&addr).unwrap();
+    let warm = inline_request("shed_warm");
+    assert_eq!(control.compile(warm.clone()).unwrap().served.source, "compiled");
+
+    // Hold the pool: one cold GPT_1T compile on the only worker (wait
+    // until it has started), a second filling the one queue place.
+    let mut client = Client::connect(&addr).unwrap();
+    let started = control.stats().unwrap().batches;
+    client.send(&Request::Compile(Box::new(CompileRequest::named("GPT_1T")))).unwrap();
+    while control.stats().unwrap().batches == started {
+        std::thread::yield_now();
+    }
+    let queued = CompileRequest {
+        options: OverlapOptions { disable_cost_gate: true, ..OverlapOptions::paper_default() },
+        ..CompileRequest::named("GPT_1T")
+    };
+    client.send(&Request::Compile(Box::new(queued))).unwrap();
+    // Neither warm request needs a worker; the never-seen one does.
+    client.send(&Request::Compile(Box::new(warm.clone()))).unwrap();
+    client.send(&Request::Compile(Box::new(CompileRequest { deadline_ms: Some(50), ..warm }))).unwrap();
+    client.send(&Request::Compile(Box::new(inline_request("shed_cold")))).unwrap();
+
+    for i in 0..2 {
+        assert!(matches!(client.recv().unwrap(), Response::Compiled(_)), "GPT_1T compile {i}");
+    }
+    for what in ["warm", "warm with a deadline"] {
+        match client.recv().unwrap() {
+            Response::Compiled(c) => assert_eq!(c.served.source, "memory", "{what}"),
+            other => panic!("{what} request was not answered from the index: {other:?}"),
+        }
+    }
+    match client.recv().unwrap() {
+        Response::Error(e) => assert_eq!(e.kind, ErrorKind::Overloaded),
+        other => panic!("a never-seen request found room in a full queue: {other:?}"),
+    }
+    let stats = control.stats().unwrap();
+    assert_eq!(stats.shed, 1);
+    assert_eq!(stats.cache_memory_hits, 2, "loop-thread hits count as memory hits");
+
+    control.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_disabled_or_verifying_cache_keeps_every_repeat_on_the_pool() {
+    let config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, queue_depth: 8 };
+    let mut verifying = ArtifactCache::in_memory();
+    verifying.set_verify_hits(true);
+    assert!(verifying.verifies_hits() && !ArtifactCache::in_memory().verifies_hits());
+    // (cache, sources of three identical requests)
+    let cases = [
+        // A pass-through cache runs the pipeline every time (and counts
+        // nothing, so the sources and the job count are the evidence).
+        (ArtifactCache::disabled(), ["compiled"; 3]),
+        // Each "memory" here is the cache's own hit, re-verified against
+        // a cold compile on the pool worker.
+        (verifying, ["compiled", "memory", "memory"]),
+    ];
+    for (cache, sources) in cases {
+        let server = Server::bind(&config, cache).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(&addr).unwrap();
+        let req = inline_request("switches");
+        for (i, source) in sources.iter().enumerate() {
+            assert_eq!(&client.compile(req.clone()).unwrap().served.source, source);
+            let stats = client.stats().unwrap();
+            assert_eq!(stats.batches, i as u64 + 1, "every repeat must dispatch a job");
+        }
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
 }
