@@ -17,6 +17,12 @@ use overlap_json::{json_record, Fingerprint, StableHasher};
 
 use crate::mesh::DeviceMesh;
 
+/// Largest `stall_max_retries` a spec may carry. Committed specs use at
+/// most 8; a budget in the billions would keep a certain-stall transfer
+/// drawing for minutes, so specs from the wire or a file are refused
+/// instead.
+const MAX_STALL_RETRIES: u32 = 64;
+
 /// Identity of one directed inter-chip link on the torus.
 ///
 /// The link leaves `device` along mesh axis `axis`, toward the neighbor
@@ -76,7 +82,8 @@ pub struct FaultSpec {
     pub stall_seconds: f64,
     /// Retry budget for a stalled DMA. If every attempt up to this
     /// bound stalls, the simulator reports the transfer's link as down
-    /// instead of retrying forever.
+    /// instead of retrying forever. [`validate`](Self::validate) caps it
+    /// at 64: every retry is one more draw per transfer per execution.
     pub stall_max_retries: u32,
     /// Watchdog limit on simulated time in seconds; `0.0` disables it.
     pub time_limit_seconds: f64,
@@ -165,7 +172,7 @@ impl FaultSpec {
 
     /// Checks the spec against a mesh: device ids and axes in range,
     /// derates in `(0, 1]`, slowdowns `>= 1`, probabilities in `[0, 1]`,
-    /// nonnegative durations.
+    /// nonnegative durations, a stall retry budget of at most 64.
     ///
     /// # Errors
     ///
@@ -201,6 +208,12 @@ impl FaultSpec {
         }
         if !(0.0..=1.0).contains(&self.stall_probability) {
             return Err(format!("stall probability {} outside [0, 1]", self.stall_probability));
+        }
+        if self.stall_max_retries > MAX_STALL_RETRIES {
+            return Err(format!(
+                "stall retry budget {} above {MAX_STALL_RETRIES}",
+                self.stall_max_retries
+            ));
         }
         if self.jitter_seconds.is_nan() || self.jitter_seconds < 0.0 {
             return Err(format!("jitter amplitude {} is negative or NaN", self.jitter_seconds));
@@ -403,6 +416,14 @@ mod tests {
             .with_dma_stalls(1.5, 0.0, 1)
             .validate(&mesh)
             .is_err());
+        for retries in [MAX_STALL_RETRIES + 1, u32::MAX] {
+            let err = FaultSpec::default().with_dma_stalls(1.0, 1e-9, retries).validate(&mesh);
+            assert!(err.is_err_and(|e| e.contains("stall retry budget")));
+        }
+        assert!(FaultSpec::default()
+            .with_dma_stalls(1.0, 1e-9, MAX_STALL_RETRIES)
+            .validate(&mesh)
+            .is_ok());
     }
 
     #[test]

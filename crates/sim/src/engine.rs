@@ -4,7 +4,7 @@ use overlap_hlo::{InstrId, Module};
 use overlap_mesh::{FaultSpec, Machine};
 
 use crate::cost::{Direction, InstrCost};
-use crate::faults::FaultModel;
+use crate::faults::{FaultModel, Routes};
 use crate::report::{FaultAttribution, Report, Span, SpanKind, Timeline};
 use crate::table::{CostTable, NO_GROUP};
 use crate::SimError;
@@ -97,7 +97,7 @@ impl<'a> Simulation<'a> {
     /// [`SimError::ZeroRepetitions`] when `reps == 0`.
     pub fn repeated(&self, reps: usize) -> Result<Report, SimError> {
         let mut combined: Option<Report> = None;
-        self.execute(reps, true, |report| match &mut combined {
+        self.execute(reps, true, true, |report| match &mut combined {
             Some(combined) => combined.absorb(report),
             None => combined = Some(report),
         })?;
@@ -126,18 +126,23 @@ impl<'a> Simulation<'a> {
     /// percentiles over a censored sample set would be lies.
     pub fn tail(&self, draws: usize) -> Result<Vec<f64>, SimError> {
         let mut makespans = Vec::with_capacity(draws);
-        self.execute(draws, false, |report| makespans.push(report.makespan()))?;
+        // Only the makespans leave this call, so no draw records a
+        // timeline (no span names formatted per instruction per draw).
+        self.execute(draws, false, false, |report| makespans.push(report.makespan()))?;
         Ok(makespans)
     }
 
     /// What every terminal shares: resolve the defaults, check the inputs
-    /// against one another, then run `count` executions (`rep` is the
-    /// repetition index of every fault-event identity), stream clocks
-    /// carried from one to the next or each from a fresh state.
+    /// against one another, compile the fault spec against the machine
+    /// and its routes against the module, then run `count` executions
+    /// (`rep` is the repetition index of every fault-event identity),
+    /// stream clocks carried from one to the next or each from a fresh
+    /// state, recording a timeline or not.
     fn execute(
         &self,
         count: usize,
         carry_clocks: bool,
+        timeline: bool,
         mut each: impl FnMut(Report),
     ) -> Result<(), SimError> {
         let (module, machine) = (self.module, self.machine);
@@ -162,26 +167,35 @@ impl<'a> Simulation<'a> {
         if count == 0 {
             return Err(SimError::ZeroRepetitions);
         }
-        let faults = self.faults.map(|spec| FaultModel::new(machine, spec)).transpose()?;
+        let faults = match self.faults {
+            Some(spec) => FaultModel::new(machine, spec)?,
+            None => FaultModel::pristine(machine),
+        };
+        let routes = faults.routes(module);
+        let call =
+            Call { module, machine, order, table, faults: &faults, routes: &routes, timeline };
         let mut scratch = EngineScratch::for_len(module.len());
         let mut state = EngineState::default();
         for rep in 0..count {
             if !carry_clocks {
                 state = EngineState::default();
             }
-            each(run_engine(
-                module,
-                machine,
-                order,
-                table,
-                &mut scratch,
-                &mut state,
-                faults.as_ref(),
-                rep,
-            )?);
+            each(run_engine(&call, &mut scratch, &mut state, rep)?);
         }
         Ok(())
     }
+}
+
+/// Everything one call fixes for all of its executions.
+struct Call<'a> {
+    module: &'a Module,
+    machine: &'a Machine,
+    order: &'a [InstrId],
+    table: &'a CostTable,
+    faults: &'a FaultModel,
+    routes: &'a Routes,
+    /// Whether executions record a [`Timeline`].
+    timeline: bool,
 }
 
 // The five spellings below are called by name from the frozen benchmark
@@ -277,17 +291,29 @@ impl EngineScratch {
     }
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+/// The spans of one execution, or nothing when the call does not record
+/// a timeline: span names are formatted only when they are kept.
+struct Spans {
+    record: bool,
+    timeline: Timeline,
+}
+
+impl Spans {
+    fn push(&mut self, name: impl FnOnce() -> String, kind: SpanKind, start: f64, end: f64) {
+        if self.record {
+            self.timeline.spans.push(Span { name: name(), kind, start, end });
+        }
+    }
+}
+
+#[allow(clippy::too_many_lines)]
 fn run_engine(
-    module: &Module,
-    machine: &Machine,
-    order: &[InstrId],
-    table: &CostTable,
+    call: &Call<'_>,
     scratch: &mut EngineScratch,
     state: &mut EngineState,
-    faults: Option<&FaultModel>,
     rep: usize,
 ) -> Result<Report, SimError> {
+    let Call { module, machine, order, table, faults, routes, .. } = *call;
     scratch.ready.fill(state.t_compute);
     let ready = &mut scratch.ready;
     let mut t_compute = state.t_compute;
@@ -297,7 +323,7 @@ fn run_engine(
     // Watchdog state (fault path only): the clock at entry detects a
     // repetition that charges work without advancing simulated time.
     let entry_clock = state.t_compute.max(state.dma_free[0]).max(state.dma_free[1]);
-    let time_limit = faults.and_then(FaultModel::time_limit);
+    let time_limit = faults.time_limit();
     let mut attribution = FaultAttribution::default();
 
     let mut compute_time = 0.0;
@@ -306,7 +332,7 @@ fn run_engine(
     let mut exposed_async_time = 0.0;
     let mut hidden_async_time = 0.0;
     let mut total_flops = 0u64;
-    let mut timeline = Timeline::default();
+    let mut spans = Spans { record: call.timeline, timeline: Timeline::default() };
 
     for &id in order {
         // Watchdog: simulated time past the configured limit aborts the
@@ -343,32 +369,23 @@ fn run_engine(
             for &op in &group.external_operands {
                 operands_ready = operands_ready.max(ready[op.index()]);
             }
-            let seconds = match faults {
-                Some(f) => {
-                    let s = f.compute_seconds(group.seconds);
-                    attribution.straggler_seconds += s - group.seconds;
-                    s
-                }
-                None => group.seconds,
-            };
+            let (seconds, extra) = faults.compute_stretch(group.seconds);
+            attribution.straggler_seconds += extra;
             let start = t_compute.max(operands_ready);
             let end = penalized(start, seconds, &dma_free);
             t_compute = end;
             for &m in &group.members {
                 ready[m.index()] = end;
             }
-            if group.has_compute {
+            let kind = if group.has_compute {
                 compute_time += seconds;
+                SpanKind::Compute
             } else {
                 memory_time += seconds;
-            }
+                SpanKind::Memory
+            };
             total_flops += group.flops;
-            timeline.spans.push(Span {
-                name: format!("fusion.{}", ins.name()),
-                kind: if group.has_compute { SpanKind::Compute } else { SpanKind::Memory },
-                start,
-                end,
-            });
+            spans.push(|| format!("fusion.{}", ins.name()), kind, start, end);
             continue;
         }
 
@@ -383,47 +400,25 @@ fn run_engine(
                 ready[id.index()] = operands_ready;
             }
             InstrCost::Compute { seconds, flops } => {
-                let seconds = match faults {
-                    Some(f) => {
-                        let s = f.compute_seconds(seconds);
-                        attribution.straggler_seconds += s - seconds;
-                        s
-                    }
-                    None => seconds,
-                };
+                let (seconds, extra) = faults.compute_stretch(seconds);
+                attribution.straggler_seconds += extra;
                 let start = t_compute.max(operands_ready);
                 let end = penalized(start, seconds, &dma_free);
                 t_compute = end;
                 ready[id.index()] = end;
                 compute_time += seconds;
                 total_flops += flops;
-                timeline.spans.push(Span {
-                    name: ins.name().to_string(),
-                    kind: SpanKind::Compute,
-                    start,
-                    end,
-                });
+                spans.push(|| ins.name().to_string(), SpanKind::Compute, start, end);
             }
             InstrCost::Memory { seconds } => {
-                let seconds = match faults {
-                    Some(f) => {
-                        let s = f.compute_seconds(seconds);
-                        attribution.straggler_seconds += s - seconds;
-                        s
-                    }
-                    None => seconds,
-                };
+                let (seconds, extra) = faults.compute_stretch(seconds);
+                attribution.straggler_seconds += extra;
                 let start = t_compute.max(operands_ready);
                 let end = penalized(start, seconds, &dma_free);
                 t_compute = end;
                 ready[id.index()] = end;
                 memory_time += seconds;
-                timeline.spans.push(Span {
-                    name: ins.name().to_string(),
-                    kind: SpanKind::Memory,
-                    start,
-                    end,
-                });
+                spans.push(|| ins.name().to_string(), SpanKind::Memory, start, end);
             }
             InstrCost::SyncCollective { seconds } => {
                 // Blocks the compute stream and takes link priority:
@@ -432,26 +427,15 @@ fn run_engine(
                 // sharing between the two is modeled as free, which is
                 // mildly optimistic; the schedulers place blocking
                 // collectives in link-idle gaps anyway).
-                let seconds = match faults {
-                    Some(f) => {
-                        let s = f.collective_seconds(seconds);
-                        attribution.link_seconds += s - seconds;
-                        s
-                    }
-                    None => seconds,
-                };
+                let (seconds, extra) = faults.collective_stretch(seconds);
+                attribution.link_seconds += extra;
                 let start = t_compute.max(operands_ready);
                 let end = start + seconds;
                 t_compute = end;
                 dma_free = [dma_free[0].max(end), dma_free[1].max(end)];
                 ready[id.index()] = end;
                 sync_comm_time += seconds;
-                timeline.spans.push(Span {
-                    name: ins.name().to_string(),
-                    kind: SpanKind::SyncCollective,
-                    start,
-                    end,
-                });
+                spans.push(|| ins.name().to_string(), SpanKind::SyncCollective, start, end);
             }
             InstrCost::AsyncStart(transfer) => {
                 let lane = match transfer.direction {
@@ -463,16 +447,11 @@ fn run_engine(
                 // time and DMA stalls delay the issue with bounded
                 // retry/backoff. With no active fault category the
                 // pristine table value comes back untouched.
-                let (wire_seconds, stall_extra) = match faults {
-                    Some(f) => {
-                        let o = f.transfer(module, id, transfer.seconds, rep)?;
-                        attribution.link_seconds += o.link_extra;
-                        attribution.stall_seconds += o.stall_extra;
-                        attribution.stall_retries += o.retries;
-                        (o.seconds, o.stall_extra)
-                    }
-                    None => (transfer.seconds, 0.0),
-                };
+                let o = faults.transfer(routes, module, id, transfer.seconds, rep)?;
+                attribution.link_seconds += o.link_extra;
+                attribution.stall_seconds += o.stall_extra;
+                attribution.stall_retries += o.retries;
+                let (wire_seconds, stall_extra) = (o.seconds, o.stall_extra);
                 let issue = t_compute.max(operands_ready);
                 let begin = issue.max(dma_free[lane]);
                 let wire_begin = begin + stall_extra;
@@ -492,22 +471,18 @@ fn run_engine(
                 if stall_extra > 0.0 {
                     // The retry/backoff window occupies the lane before
                     // the wire moves — an extra event in the timeline.
-                    timeline.spans.push(Span {
-                        name: format!("{}.dma_stall", ins.name()),
-                        kind: SpanKind::Stall,
-                        start: begin,
-                        end: wire_begin,
-                    });
+                    spans.push(
+                        || format!("{}.dma_stall", ins.name()),
+                        SpanKind::Stall,
+                        begin,
+                        wire_begin,
+                    );
                 }
-                timeline.spans.push(Span {
-                    name: ins.name().to_string(),
-                    kind: match transfer.direction {
-                        Direction::Forward => SpanKind::DmaForward,
-                        Direction::Backward => SpanKind::DmaBackward,
-                    },
-                    start: wire_begin,
-                    end,
-                });
+                let kind = match transfer.direction {
+                    Direction::Forward => SpanKind::DmaForward,
+                    Direction::Backward => SpanKind::DmaBackward,
+                };
+                spans.push(|| ins.name().to_string(), kind, wire_begin, end);
             }
             InstrCost::AsyncDone => {
                 let start_id = ins.operands().first().copied().ok_or_else(|| {
@@ -521,12 +496,8 @@ fn run_engine(
                 inflight = inflight.saturating_sub(1);
                 let stall = (end - t_compute.max(operands_ready)).max(0.0);
                 if stall > 0.0 {
-                    timeline.spans.push(Span {
-                        name: ins.name().to_string(),
-                        kind: SpanKind::Stall,
-                        start: t_compute,
-                        end: t_compute + stall,
-                    });
+                    let (start, end) = (t_compute, t_compute + stall);
+                    spans.push(|| ins.name().to_string(), SpanKind::Stall, start, end);
                 }
                 exposed_async_time += stall;
                 hidden_async_time += (dur - stall).max(0.0);
@@ -537,7 +508,7 @@ fn run_engine(
     }
 
     let makespan = t_compute.max(dma_free[0]).max(dma_free[1]);
-    if faults.is_some() {
+    if faults.watchdog() {
         // No-progress deadlock detector: a repetition that charged work
         // but did not advance (or drove non-finite) any stream clock can
         // never finish — corrupt costs, not a slow schedule.
@@ -565,7 +536,7 @@ fn run_engine(
         exposed_async_time,
         hidden_async_time,
         total_flops,
-        timeline,
+        spans.timeline,
     );
     report.set_fault_attribution(attribution);
     Ok(report)

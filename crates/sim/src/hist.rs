@@ -206,13 +206,18 @@ impl TailSummary {
     /// Summarizes `samples` (not required to be sorted; empty input
     /// yields the all-zero summary). Percentiles are exact order
     /// statistics at [`quantile_rank`].
+    ///
+    /// Samples are ordered by [`f64::total_cmp`], so a NaN never panics:
+    /// a NaN with the sign bit clear (what arithmetic produces) sorts
+    /// above `+∞` and surfaces as `max` and in the top percentiles, one
+    /// with the sign bit set sorts below `-∞`; either makes `mean` NaN.
     #[must_use]
     pub fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return TailSummary::default();
         }
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let at = |q: f64| sorted[(quantile_rank(q, n as u64) as usize) - 1];
         TailSummary {
@@ -327,6 +332,26 @@ mod tests {
         assert_eq!(t.max, 100.0);
         assert!((t.mean - 50.5).abs() < 1e-12);
         assert_eq!(TailSummary::from_samples(&[]), TailSummary::default());
+    }
+
+    #[test]
+    fn tail_summary_of_a_nan_sample_does_not_panic() {
+        let finite = [3.0, 1.0, 2.0, 5.0, 4.0];
+        let mut with_nan = finite.to_vec();
+        with_nan.insert(2, f64::NAN);
+        let t = TailSummary::from_samples(&with_nan);
+        // The NaN sorts above every finite sample.
+        assert!(t.max.is_nan() && t.p99.is_nan() && t.mean.is_nan());
+        assert_eq!((t.draws, t.min, t.p50), (6, 1.0, 3.0));
+        let negative = TailSummary::from_samples(&[1.0, -f64::NAN, 2.0]);
+        assert!(negative.min.is_nan());
+        assert_eq!(negative.max, 2.0);
+        // Finite samples summarize exactly as a comparison sort does.
+        let mut sorted = finite.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let t = TailSummary::from_samples(&finite);
+        assert_eq!((t.min, t.p50, t.p90, t.max), (sorted[0], sorted[2], sorted[4], sorted[4]));
+        assert_eq!(t.mean, sorted.iter().sum::<f64>() / 5.0);
     }
 
     #[test]

@@ -69,6 +69,16 @@ case "$line" in
     *) echo "FAIL: serve_hot is not correct with 0 failed ops:"; printf '%s\n' "$line"; exit 1 ;;
 esac
 
+# The faulted engine, on a seed no change was written against: every
+# draw must stay at or above the fault-free makespan and a repeated
+# seed must return identical samples.
+echo "==> ledger: traced tail_draws on seed 2 (repeat identity + fault-free floor)"
+line=$(bash ledger/run.sh --workload tail_draws --seed 2 --seconds 20 --trace 1 | tail -n 1)
+case "$line" in
+    '{"correct":true,'*'"failed":0,'*) ;;
+    *) echo "FAIL: tail_draws is not correct with 0 failed ops:"; printf '%s\n' "$line"; exit 1 ;;
+esac
+
 # ledger/ calls five simulate* functions by name; everything else spells
 # the request as a `Simulation`. They may appear only where they are
 # defined and re-exported, and the seven deleted spellings nowhere.

@@ -574,6 +574,47 @@ fn typed_errors_for_bad_requests_and_draining() {
     server.join().unwrap().unwrap();
 }
 
+/// A certain-stall spec with a retry budget of `u32::MAX` would keep a
+/// worker drawing retries for ever. The spec is refused as invalid at
+/// once — by the simulator and by the daemon — instead of being run.
+#[test]
+fn a_runaway_stall_budget_is_refused_not_run() {
+    use overlap_sim::{SimError, Simulation};
+    use std::time::{Duration, Instant};
+
+    let runaway = FaultSpec::seeded(1).with_dma_stalls(1.0, 1e-9, u32::MAX);
+    let mut b = Builder::new("pair", 2);
+    let x = b.parameter(Shape::new(DType::F32, vec![1024]), "x");
+    let s = b.collective_permute_start(x, vec![(0, 1), (1, 0)], "s");
+    let d = b.collective_permute_done(s, "d");
+    let m = b.build(vec![d]);
+    let machine = Machine::tpu_v4_like(2);
+    let t0 = Instant::now();
+    let got = Simulation::new(&m, &machine).faults(Some(&runaway)).run();
+    assert!(matches!(got, Err(SimError::InvalidFaultSpec(_))), "got {got:?}");
+    assert!(t0.elapsed() < Duration::from_millis(500));
+
+    let (addr, server) = spawn_server(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 4,
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let mut req = inline_request("runaway");
+    req.fault_spec = Some(runaway);
+    let t0 = Instant::now();
+    match client.compile(req).unwrap_err() {
+        ClientError::Server(e) => {
+            assert_eq!(e.kind, ErrorKind::InvalidFaultSpec);
+            assert!(e.message.contains("stall retry budget"), "{}", e.message);
+        }
+        other => panic!("expected invalid-fault-spec, got {other}"),
+    }
+    assert!(t0.elapsed() < Duration::from_millis(500));
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
 #[test]
 fn malformed_frames_get_typed_responses_over_the_wire() {
     use std::io::Write as _;
