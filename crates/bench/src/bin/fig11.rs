@@ -11,10 +11,10 @@
 
 use overlap_bench::{or_exit, write_json};
 use overlap_core::{fuse, schedule_bottom_up, FusionOptions};
-use overlap_hlo::{Builder, DType, DotDims, Module, Shape};
+use overlap_hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, Shape};
 use overlap_mesh::{DeviceMesh, Machine};
 use overlap_json::json_record;
-use overlap_sim::Simulation;
+use overlap_sim::{CostTable, Simulation};
 
 /// The Fig. 11 graph at a given matmul width.
 fn fig11_module(dim: usize) -> Module {
@@ -48,9 +48,12 @@ fn main() {
     let mut rows = Vec::new();
     for dim in [2048usize, 4096, 8192] {
         let module = fig11_module(dim);
+        let mut analysis = ModuleAnalysis::of(&module);
+        or_exit(module.verify_incremental(&mut analysis), "verify the Fig. 11 graph");
         let time_with = |aware: bool| {
-            let fused = fuse(&module, &FusionOptions { overlap_aware: aware });
-            let order = schedule_bottom_up(&fused, &machine);
+            let fused = fuse(&module, &analysis, &FusionOptions { overlap_aware: aware });
+            let table = or_exit(CostTable::new(&fused, &machine), "cost the fused graph");
+            let order = schedule_bottom_up(&table, &analysis, &fused, &machine, None);
             let sim = Simulation::new(&fused, &machine).order(&order);
             or_exit(sim.run(), "simulate the fused graph").makespan()
         };

@@ -7,8 +7,11 @@
 //! cargo run --release -p overlap-bench --bin gate [MODEL]
 //! ```
 
+use overlap_bench::or_exit;
 use overlap_core::{find_patterns, CostModel, DecomposeOptions};
+use overlap_hlo::ModuleAnalysis;
 use overlap_models::{find_model, model_names};
+use overlap_sim::CostTable;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "GPT_1T".into());
@@ -19,7 +22,7 @@ fn main() {
     let module = cfg.layer_module();
     let machine = cfg.machine();
     let cm = CostModel::new(&machine, DecomposeOptions::default());
-    let patterns = find_patterns(&module);
+    let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
     println!(
         "{}: {} candidate patterns on mesh {:?}\n",
         cfg.name,
@@ -30,7 +33,8 @@ fn main() {
         "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}",
         "einsum", "comp_t", "comm_t", "ring_t", "comp_d", "extra_t", "bidi", "verdict"
     );
-    let decisions = cm.select(&module, &patterns, false);
+    let table = or_exit(CostTable::new(&module, &machine), "cost the layer");
+    let decisions = cm.select(&table, &module, &patterns, false);
     for d in &decisions {
         println!(
             "{:<22} {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>6} {:>9}",

@@ -23,16 +23,18 @@
 //! cargo run --release -p overlap-bench --bin gate_accuracy [MODEL]
 //! ```
 
-use overlap_bench::write_json;
+use overlap_bench::{or_exit, write_json};
 use overlap_core::{
-    asyncify, decompose, decompose_each, find_patterns, fuse, schedule_bottom_up, CostModel,
-    DecomposeOptions, FusionOptions,
+    asyncify, decompose, find_patterns, fuse, schedule_bottom_up, CostModel, DecomposeOptions,
+    FusionOptions,
 };
-use overlap_hlo::{Builder, DType, DotDims, Module, Op, ReplicaGroups, Shape, WireFormat};
+use overlap_hlo::{
+    Builder, DType, DotDims, Module, ModuleAnalysis, Op, ReplicaGroups, Shape, WireFormat,
+};
 use overlap_json::{json_record, Json, ToJson};
 use overlap_models::{find_model, model_names};
 use overlap_numerics::{run_spmd, Literal};
-use overlap_sim::Simulation;
+use overlap_sim::{CostTable, Simulation};
 
 struct Row {
     einsum: String,
@@ -151,9 +153,12 @@ fn quant_rows(wire: WireFormat) -> Vec<QuantRow> {
         let want = run_spmd(&module, &inputs).expect("exact proxy");
 
         let opts = DecomposeOptions { wire, ..Default::default() };
-        let patterns = find_patterns(&module);
-        let (ring, _) = decompose(&module, &opts, &patterns);
-        let got = run_spmd(&asyncify(&ring), &inputs).expect("quantized ring");
+        let selected: Vec<_> = find_patterns(&module, &ModuleAnalysis::of(&module))
+            .into_iter()
+            .map(|p| (p, opts))
+            .collect();
+        let (ring, _, _) = decompose(&module, &selected);
+        let got = run_spmd(&asyncify(&ring).0, &inputs).expect("quantized ring");
         rows.push(QuantRow {
             case: case_ring,
             wire: wire.describe(),
@@ -193,8 +198,9 @@ fn main() {
 
     let options = DecomposeOptions::default();
     let cost_model = CostModel::new(&machine, options);
-    let patterns = find_patterns(&module);
-    let decisions = cost_model.select(&module, &patterns, false);
+    let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
+    let table = or_exit(CostTable::new(&module, &machine), "cost the layer");
+    let decisions = cost_model.select(&table, &module, &patterns, false);
 
     println!(
         "{}: gate prediction vs simulation, per pattern (baseline {:.3} ms)\n",
@@ -206,9 +212,11 @@ fn main() {
     for d in &decisions {
         // Decompose only this pattern, with its chosen direction mode.
         let opts = DecomposeOptions { bidirectional: d.bidirectional, ..options };
-        let (out, _) = decompose_each(&module, &[(d.pattern, opts)]);
-        let fused = fuse(&asyncify(&out), &FusionOptions::default());
-        let order = schedule_bottom_up(&fused, &machine);
+        let (out, _, _) = decompose(&module, &[(d.pattern, opts)]);
+        let (asynced, analysis) = asyncify(&out);
+        let fused = fuse(&asynced, &analysis, &FusionOptions::default());
+        let table = or_exit(CostTable::new(&fused, &machine), "cost the single-pattern rewrite");
+        let order = schedule_bottom_up(&table, &analysis, &fused, &machine, None);
         let measured = match Simulation::new(&fused, &machine).order(&order).run() {
             Ok(r) => baseline - r.makespan(),
             Err(e) => {

@@ -23,13 +23,11 @@ use overlap_bench::{
     sweep_threads, write_json,
 };
 use overlap_core::{
-    artifact_key, asyncify, decompose_each, find_patterns, fuse, schedule_bottom_up_with,
-    ArtifactCache, CostModel, DecomposeOptions, OverlapOptions, OverlapPipeline, PhaseTimings,
-    StrategySpec,
+    artifact_key, asyncify, decompose, find_patterns, fuse, schedule_bottom_up, ArtifactCache,
+    CostModel, DecomposeOptions, OverlapOptions, OverlapPipeline, PhaseTimings, StrategySpec,
 };
 use overlap_hlo::{
-    eliminate_common_subexpressions, Builder, DType, DotDims, InstrId, Module, ReplicaGroups,
-    Shape, WireFormat,
+    Builder, DType, DotDims, InstrId, Module, ModuleAnalysis, ReplicaGroups, Shape, WireFormat,
 };
 use overlap_json::{Json, ToJson};
 use overlap_mesh::{FaultSpec, Machine};
@@ -892,21 +890,23 @@ fn cache_bench() -> (CacheBench, bool) {
 
 /// The compilation sequence as it stood before the shared-analysis
 /// refactor: every pass verifies and re-indexes its input from scratch —
-/// a full input verify, a cost-table build (with its own verify) inside
-/// the serial cost gate, a full verify in `fuse`, a full verify of the
+/// a full input verify, a fresh analysis for pattern matching, a
+/// cost-table build (with its own verify) for the cost gate, a fresh
+/// analysis verified from scratch before `fuse`, a full verify of the
 /// final module, a second cost-table build (verifying again), and a
-/// scheduler that recomputes the users table and effective latencies.
-/// Pass bodies are the current ones; only the redundant recomputation
-/// differs, so the outputs must be bit-identical to the pipeline's.
+/// fresh analysis for the scheduler. Pass bodies are the current ones;
+/// only the redundant recomputation differs, so the outputs must be
+/// bit-identical to the pipeline's.
 fn legacy_compile(
     module: &Module,
     machine: &Machine,
     options: &OverlapOptions,
 ) -> (Module, Vec<InstrId>) {
     module.verify().expect("verified input");
-    let patterns = find_patterns(module);
+    let patterns = find_patterns(module, &ModuleAnalysis::of(module));
+    let table = CostTable::new(module, machine).expect("cost table");
     let cost_model = CostModel::with_strategy(machine, &options.strategy);
-    let decisions = cost_model.select(module, &patterns, !options.disable_cost_gate);
+    let decisions = cost_model.select(&table, module, &patterns, !options.disable_cost_gate);
     let selected: Vec<_> = decisions
         .iter()
         .map(|d| {
@@ -917,16 +917,20 @@ fn legacy_compile(
             (d.pattern, opts)
         })
         .collect();
-    let (decomposed, _summaries) = decompose_each(module, &selected);
-    let decomposed = eliminate_common_subexpressions(&decomposed);
-    let asynced = asyncify(&decomposed);
+    let (decomposed, _summaries, _) = decompose(module, &selected);
+    let (asynced, _) = asyncify(&decomposed);
     let final_module = match options.fusion_options() {
-        Some(fopts) => fuse(&asynced, &fopts),
+        Some(fopts) => {
+            let mut analysis = ModuleAnalysis::of(&asynced);
+            asynced.verify_incremental(&mut analysis).expect("verified fusion input");
+            fuse(&asynced, &analysis, &fopts)
+        }
         None => asynced,
     };
     final_module.verify().expect("verified output");
     let table = CostTable::new(&final_module, machine).expect("cost table");
-    let order = schedule_bottom_up_with(&table, &final_module, machine);
+    let analysis = ModuleAnalysis::of(&final_module);
+    let order = schedule_bottom_up(&table, &analysis, &final_module, machine, None);
     (final_module, order)
 }
 

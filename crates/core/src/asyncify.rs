@@ -13,22 +13,14 @@ use overlap_hlo::{Builder, InstrId, Module, ModuleAnalysis, Op};
 /// the actual overlap is the *scheduler's* job (it moves the start as
 /// early and the done as late as data dependences allow).
 ///
-/// # Panics
-///
-/// Panics if the module is malformed (operands after users).
-#[must_use]
-pub fn asyncify(module: &Module) -> Module {
-    asyncify_with(module).0
-}
-
-/// [`asyncify`] also returning the rewritten module's [`ModuleAnalysis`],
-/// maintained append-by-append by the builder.
+/// Returns the rewritten module with its [`ModuleAnalysis`], maintained
+/// append-by-append by the builder.
 ///
 /// # Panics
 ///
 /// Panics if the module is malformed (operands after users).
 #[must_use]
-pub fn asyncify_with(module: &Module) -> (Module, ModuleAnalysis) {
+pub fn asyncify(module: &Module) -> (Module, ModuleAnalysis) {
     let mut b = Builder::new(module.name().to_string(), module.num_partitions());
     let mut map: Vec<Option<InstrId>> = vec![None; module.len()];
     for (id, ins) in module.iter() {
@@ -73,7 +65,7 @@ mod tests {
         let c = b.copy(p, "c");
         let m = b.build(vec![c]);
 
-        let a = asyncify(&m);
+        let (a, _) = asyncify(&m);
         a.verify().unwrap();
         assert_eq!(a.count_live(|i| matches!(i.op(), Op::CollectivePermute { .. })), 0);
         assert_eq!(
@@ -95,7 +87,7 @@ mod tests {
         let x = b.parameter(Shape::new(DType::F32, vec![4]), "x");
         let c = b.copy(x, "c");
         let m = b.build(vec![c]);
-        let a = asyncify(&m);
+        let (a, _) = asyncify(&m);
         assert_eq!(a.len(), m.len());
     }
 }

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 
 use overlap_hlo::{InstrId, Module, Op, WireFormat};
 use overlap_mesh::{cost as ccost, FaultSpec, Machine};
-use overlap_sim::{einsum_cost_key, instruction_cost, CostTable, FaultModel, InstrCost, SimError};
+use overlap_sim::{einsum_cost_key, CostTable, FaultModel, InstrCost, SimError};
 
 use crate::decompose::DecomposeOptions;
 use crate::pattern::{Pattern, PatternKind};
@@ -338,35 +338,15 @@ impl<'m> CostModel<'m> {
     /// Evaluates the §5.5 inequality for one pattern: when the options
     /// allow bidirectional transfer, both the bidirectional and the
     /// unidirectional forms are estimated and the better one is chosen.
+    /// The original einsum/collective times are looked up in `table`,
+    /// built for this `(module, machine)` pair.
     #[must_use]
-    pub fn evaluate(&self, module: &Module, pattern: &Pattern) -> GateDecision {
-        self.evaluate_impl(module, pattern, &|id| instruction_cost(module, id, self.machine))
-    }
-
-    /// [`CostModel::evaluate`] with the original einsum/collective times
-    /// looked up in a pre-built [`CostTable`] for this `(module,
-    /// machine)` pair instead of re-derived per call.
-    #[must_use]
-    pub fn evaluate_with(
-        &self,
-        table: &CostTable,
-        module: &Module,
-        pattern: &Pattern,
-    ) -> GateDecision {
-        self.evaluate_impl(module, pattern, &|id| table.cost(id))
-    }
-
-    fn evaluate_impl(
-        &self,
-        module: &Module,
-        pattern: &Pattern,
-        cost_of: &dyn Fn(InstrId) -> InstrCost,
-    ) -> GateDecision {
-        let uni = self.evaluate_variant_impl(module, pattern, false, cost_of);
+    pub fn evaluate(&self, table: &CostTable, module: &Module, pattern: &Pattern) -> GateDecision {
+        let uni = self.evaluate_variant(table, module, pattern, false);
         if !self.options_for(pattern).bidirectional {
             return uni;
         }
-        let bidi = self.evaluate_variant_impl(module, pattern, true, cost_of);
+        let bidi = self.evaluate_variant(table, module, pattern, true);
         if bidi.net_benefit() >= uni.net_benefit() {
             bidi
         } else {
@@ -375,26 +355,14 @@ impl<'m> CostModel<'m> {
     }
 
     /// Evaluates one pattern with the bidirectional form forced on or off.
-    #[must_use]
-    pub fn evaluate_variant(
+    fn evaluate_variant(
         &self,
+        table: &CostTable,
         module: &Module,
         pattern: &Pattern,
         bidirectional: bool,
     ) -> GateDecision {
-        self.evaluate_variant_impl(module, pattern, bidirectional, &|id| {
-            instruction_cost(module, id, self.machine)
-        })
-    }
-
-    fn evaluate_variant_impl(
-        &self,
-        module: &Module,
-        pattern: &Pattern,
-        bidirectional: bool,
-        cost_of: &dyn Fn(InstrId) -> InstrCost,
-    ) -> GateDecision {
-        let comp_t = Self::einsum_time_of(cost_of(pattern.einsum));
+        let comp_t = Self::einsum_time_of(table.cost(pattern.einsum));
         let groups = match module.instr(pattern.collective).op() {
             Op::AllGather { groups, .. } | Op::ReduceScatter { groups, .. } => groups.clone(),
             _ => unreachable!("pattern collective is AG or RS"),
@@ -410,7 +378,7 @@ impl<'m> CostModel<'m> {
         // the quantized synchronous collective, not the lossless one.
         // Lossless keeps the table-driven figure bit-identical.
         let comm_t = if wire.is_lossless() {
-            Self::collective_time_of(cost_of(pattern.collective))
+            Self::collective_time_of(table.cost(pattern.collective))
         } else if is_rs {
             let (bytes, codec) =
                 self.wired(wire, module.shape_of(module.instr(pattern.collective).operands()[0]));
@@ -477,29 +445,15 @@ impl<'m> CostModel<'m> {
     /// When `gate` is `false` every candidate passes the benefit test (one
     /// pattern per einsum is still enforced) — used by ablation studies.
     ///
-    /// When the module has candidate patterns, one [`CostTable`] is built
-    /// up front and shared by all evaluations.
+    /// The per-candidate evaluations share `table` and fan across cores
+    /// on the deterministic [`par_map`](overlap_sim::par_map) driver.
+    /// Results land in input-order slots and each worker evaluates with a
+    /// fresh einsum-time memo — memo hits are exact (a hit returns the
+    /// identical bits), so the decisions do not depend on the thread
+    /// count. The per-einsum resolution stays serial (it is a cheap
+    /// reduction).
     #[must_use]
-    pub fn select(&self, module: &Module, patterns: &[Pattern], gate: bool) -> Vec<GateDecision> {
-        if patterns.is_empty() {
-            return Vec::new();
-        }
-        let table = CostTable::new(module, self.machine)
-            .expect("cost-gate selection requires a verifiable module");
-        let decisions: Vec<GateDecision> =
-            patterns.iter().map(|p| self.evaluate_with(&table, module, p)).collect();
-        Self::resolve(decisions, gate)
-    }
-
-    /// [`CostModel::select`] with a pre-built [`CostTable`], fanning the
-    /// per-candidate evaluations across cores on the deterministic
-    /// [`par_map`](overlap_sim::par_map) driver. Results land in input-
-    /// order slots and each worker evaluates with a fresh einsum-time
-    /// memo — memo hits are exact (a hit returns the identical bits), so
-    /// the decisions are bit-identical to the serial path. The per-einsum
-    /// resolution stays serial (it is a cheap reduction).
-    #[must_use]
-    pub fn select_with(
+    pub fn select(
         &self,
         table: &CostTable,
         module: &Module,
@@ -520,7 +474,7 @@ impl<'m> CostModel<'m> {
                 rs_options,
                 memo: RefCell::new(ccost::EinsumTimeMemo::new()),
             }
-            .evaluate_with(table, module, p)
+            .evaluate(table, module, p)
         });
         Self::resolve(decisions, gate)
     }
@@ -569,7 +523,7 @@ mod tests {
     use overlap_mesh::DeviceMesh;
 
     use super::*;
-    use crate::find_patterns;
+    use crate::pattern::patterns_of;
 
     fn f32s(dims: &[usize]) -> Shape {
         Shape::new(DType::F32, dims.to_vec())
@@ -595,8 +549,9 @@ mod tests {
         let m = ag_module(4, 8192, 4096, 4096);
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
         let cm = CostModel::new(&machine, uni());
-        let pats = find_patterns(&m);
-        let d = cm.evaluate(&m, &pats[0]);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        let d = cm.evaluate(&table, &m, &pats[0]);
         assert!(d.beneficial, "large einsum should hide the ring: {d:?}");
         assert!(d.comp_t > d.comm_t_ring);
     }
@@ -614,8 +569,9 @@ mod tests {
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let cm = CostModel::new(&machine, uni());
-        let pats = find_patterns(&m);
-        let d = cm.evaluate(&m, &pats[0]);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        let d = cm.evaluate(&table, &m, &pats[0]);
         assert!(d.comm_t_ring > d.comp_t);
         assert!(!d.beneficial, "unhideable ring must be rejected: {d:?}");
     }
@@ -624,9 +580,11 @@ mod tests {
     fn bidirectional_ring_is_cheaper() {
         let m = ag_module(4, 1024, 1024, 1024);
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
-        let pats = find_patterns(&m);
-        let du = CostModel::new(&machine, uni()).evaluate(&m, &pats[0]);
-        let db = CostModel::new(&machine, DecomposeOptions::default()).evaluate(&m, &pats[0]);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        let du = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
+        let db = CostModel::new(&machine, DecomposeOptions::default());
+        let db = db.evaluate(&table, &m, &pats[0]);
         assert!(db.comm_t_ring < du.comm_t_ring);
         assert!(db.extra_t > 0.0);
         assert_eq!(du.extra_t, 0.0);
@@ -636,13 +594,14 @@ mod tests {
     fn quantized_wire_shrinks_both_sides_of_the_gate() {
         let m = ag_module(8, 256, 4096, 8192);
         let machine = Machine::with_mesh(DeviceMesh::ring(8));
-        let pats = find_patterns(&m);
-        let dense = CostModel::new(&machine, uni()).evaluate(&m, &pats[0]);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        let dense = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
         let int8 = CostModel::new(
             &machine,
             DecomposeOptions { wire: WireFormat::int8(), ..uni() },
         )
-        .evaluate(&m, &pats[0]);
+        .evaluate(&table, &m, &pats[0]);
         // f32 payload on an int8-ish wire: both the kept collective and
         // the decomposed ring move ~4x fewer bytes, but each ring step
         // now pays a codec sweep, so the ring shrinks by less than 4x.
@@ -657,13 +616,14 @@ mod tests {
     fn lossless_wire_is_gate_neutral() {
         let m = ag_module(4, 1024, 1024, 1024);
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
-        let pats = find_patterns(&m);
-        let base = CostModel::new(&machine, uni()).evaluate(&m, &pats[0]);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        let base = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
         let annotated = CostModel::new(
             &machine,
             DecomposeOptions { wire: WireFormat::Lossless, ..uni() },
         )
-        .evaluate(&m, &pats[0]);
+        .evaluate(&table, &m, &pats[0]);
         assert_eq!(base.comm_t.to_bits(), annotated.comm_t.to_bits());
         assert_eq!(base.comm_t_ring.to_bits(), annotated.comm_t_ring.to_bits());
     }
@@ -680,9 +640,10 @@ mod tests {
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let cm = CostModel::new(&machine, uni());
-        let pats = find_patterns(&m);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
         assert_eq!(pats.len(), 2);
-        let sel = cm.select(&m, &pats, false);
+        let sel = cm.select(&table, &m, &pats, false);
         assert_eq!(sel.len(), 1, "one pattern per einsum");
     }
 
@@ -702,13 +663,16 @@ mod tests {
         let m = b.build(vec![e, e2]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let table = CostTable::new(&m, &machine).expect("table");
-        let pats = find_patterns(&m);
+        let pats = patterns_of(&m);
         assert!(pats.len() >= 2, "need several candidates");
         for gate in [false, true] {
             for opts in [uni(), DecomposeOptions::default()] {
                 let cm = CostModel::new(&machine, opts);
-                let serial = cm.select(&m, &pats, gate);
-                let par = cm.select_with(&table, &m, &pats, gate);
+                let serial = CostModel::resolve(
+                    pats.iter().map(|p| cm.evaluate(&table, &m, p)).collect(),
+                    gate,
+                );
+                let par = cm.select(&table, &m, &pats, gate);
                 assert_eq!(serial, par, "parallel gate must be bit-identical");
             }
         }
@@ -725,8 +689,60 @@ mod tests {
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let cm = CostModel::new(&machine, uni());
-        let pats = find_patterns(&m);
-        assert!(cm.select(&m, &pats, true).is_empty());
-        assert_eq!(cm.select(&m, &pats, false).len(), 1);
+        let pats = patterns_of(&m);
+        let table = CostTable::new(&m, &machine).unwrap();
+        assert!(cm.select(&table, &m, &pats, true).is_empty());
+        assert_eq!(cm.select(&table, &m, &pats, false).len(), 1);
+    }
+
+    /// A bf16 AllGather→Einsum (`ag`) or Einsum→ReduceScatter module:
+    /// `x[m,k] · w` with `w`'s output dim sharded `n` ways.
+    fn bf16_module(ag: bool, n: usize, m: usize, k: usize, f_shard: usize) -> Module {
+        let bf16 = |dims: &[usize]| Shape::new(DType::BF16, dims.to_vec());
+        let mut b = Builder::new("prop", n);
+        let x = b.parameter(bf16(&[m, k]), "x");
+        let w = b.parameter(bf16(&[k, if ag { f_shard } else { f_shard * n }]), "w");
+        let out = if ag {
+            let wf = b.all_gather(w, 1, ReplicaGroups::full(n), "wf");
+            b.einsum(x, wf, DotDims::matmul(), "y")
+        } else {
+            let y = b.einsum(x, w, DotDims::matmul(), "y");
+            b.reduce_scatter(y, 1, ReplicaGroups::full(n), "y_rs")
+        };
+        b.build(vec![out])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(144))]
+
+        /// On AllGather and ReduceScatter patterns (TPU preset) and
+        /// AllGather patterns (GPU preset): halving the link bandwidth
+        /// never cheapens predicted communication at a fixed direction
+        /// mode nor moves the compute estimate, and `evaluate` picks the
+        /// better of the two modes.
+        #[test]
+        fn variants_are_consistent_across_links_and_directions(
+            kind in 0u8..3,
+            n in proptest::sample::select(vec![2usize, 4, 8]),
+            (m, k, f) in (64usize..512, 64usize..512, 16usize..256),
+        ) {
+            let module = bf16_module(kind != 1, n, m, k, f);
+            let preset = if kind == 2 { Machine::gpu_cluster_like } else { Machine::tpu_v4_like };
+            let fast = preset(n);
+            let slow = fast.clone().with_link_bandwidth(fast.link_bandwidth() / 2.0);
+            let [cm, cm_slow] = [&fast, &slow].map(|mc| CostModel::new(mc, Default::default()));
+            let [table, slow_table] = [&fast, &slow].map(|mc| CostTable::new(&module, mc).unwrap());
+            for p in &patterns_of(&module) {
+                let d = cm.evaluate(&table, &module, p);
+                let s = cm_slow.evaluate_variant(&slow_table, &module, p, d.bidirectional);
+                proptest::prop_assert!(s.comm_t >= d.comm_t * (1.0 - 1e-9));
+                proptest::prop_assert!(s.comm_t_ring >= d.comm_t_ring * (1.0 - 1e-9));
+                proptest::prop_assert!(s.comp_t == d.comp_t);
+                for bidi in [false, true] {
+                    let v = cm.evaluate_variant(&table, &module, p, bidi);
+                    proptest::prop_assert!(d.net_benefit() >= v.net_benefit() - 1e-15);
+                }
+            }
+        }
     }
 }

@@ -130,20 +130,28 @@ pub(crate) const LCE_COMBINE_TAG: &str = "lce.combine";
 /// Tag on the circulating collective permutes.
 pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 
-/// Applies the looped collective-einsum rewrite to `selected` patterns.
+/// Applies the looped collective-einsum rewrite to `selected` patterns,
+/// each with its own options (the pipeline's cost model chooses the
+/// bidirectional form per pattern).
 ///
 /// Patterns must come from [`find_patterns`](crate::find_patterns) on this
 /// very module and reference disjoint instructions (at most one pattern
 /// per einsum; the pipeline's cost gate guarantees this). All other
 /// instructions are copied unchanged.
 ///
-/// Returns the transformed module and a per-pattern summary.
+/// Returns the transformed module, a per-pattern summary and the
+/// module's [`ModuleAnalysis`], maintained append-by-append while the
+/// builder emits the loops. The builder also value-numbers pure
+/// instructions as it appends (the loops emit the same rank table and
+/// scalar index constants per pattern), so the module is already in CSE
+/// normal form: running [`overlap_hlo::eliminate_common_subexpressions`]
+/// on it is an identity.
 ///
 /// # Example
 ///
 /// ```
 /// use overlap_core::{decompose, find_patterns, DecomposeOptions};
-/// use overlap_hlo::{Builder, DType, DotDims, Op, ReplicaGroups, Shape};
+/// use overlap_hlo::{Builder, DType, DotDims, ModuleAnalysis, Op, ReplicaGroups, Shape};
 ///
 /// let n = 4;
 /// let mut b = Builder::new("layer", n);
@@ -153,8 +161,8 @@ pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 /// let y = b.einsum(x, wg, DotDims::matmul(), "y");
 /// let m = b.build(vec![y]);
 ///
-/// let patterns = find_patterns(&m);
-/// let (out, summaries) = decompose(&m, &DecomposeOptions::default(), &patterns);
+/// let patterns = find_patterns(&m, &ModuleAnalysis::of(&m));
+/// let (out, summaries, _) = decompose(&m, &[(patterns[0], DecomposeOptions::default())]);
 /// assert_eq!(summaries[0].partial_einsums, 2); // bidirectional: N/2 double-width
 /// assert_eq!(out.count_live(|i| matches!(i.op(), Op::AllGather { .. })), 0);
 /// ```
@@ -166,52 +174,14 @@ pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 #[must_use]
 pub fn decompose(
     module: &Module,
-    options: &DecomposeOptions,
-    selected: &[Pattern],
-) -> (Module, Vec<DecomposeSummary>) {
-    let items: Vec<(Pattern, DecomposeOptions)> =
-        selected.iter().map(|&p| (p, *options)).collect();
-    decompose_each(module, &items)
-}
-
-/// Like [`decompose`] but with per-pattern options (the pipeline's cost
-/// model chooses the bidirectional form per pattern).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`decompose`].
-#[must_use]
-pub fn decompose_each(
-    module: &Module,
-    selected: &[(Pattern, DecomposeOptions)],
-) -> (Module, Vec<DecomposeSummary>) {
-    let (rewritten, summaries, _analysis) = decompose_impl(module, selected, false);
-    (rewritten, summaries)
-}
-
-/// [`decompose_each`] also returning the rewritten module's
-/// [`ModuleAnalysis`], maintained append-by-append while the builder
-/// emits the loops (no post-hoc whole-module recomputation).
-///
-/// The builder additionally value-numbers pure instructions as it
-/// appends (the loops emit the same rank table and scalar index
-/// constants per pattern), so the returned module is already in CSE
-/// normal form: running
-/// [`overlap_hlo::eliminate_common_subexpressions`] on it is an
-/// identity, and the result — names and arena order included — is
-/// bit-identical to [`decompose_each`] followed by that pass.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`decompose`].
-#[must_use]
-pub fn decompose_each_with(
-    module: &Module,
     selected: &[(Pattern, DecomposeOptions)],
 ) -> (Module, Vec<DecomposeSummary>, ModuleAnalysis) {
     decompose_impl(module, selected, true)
 }
 
+/// The rewrite proper. Without `value_number` the builder appends every
+/// emitted instruction as is; the unit tests use that form as the
+/// reference the value-numbered one must match after CSE.
 fn decompose_impl(
     module: &Module,
     selected: &[(Pattern, DecomposeOptions)],
@@ -914,13 +884,22 @@ fn emit_einsum_rs(
 
 #[cfg(test)]
 mod tests {
-    use overlap_hlo::{Builder, DType, DotDims, ReplicaGroups, Shape};
+    use overlap_hlo::{eliminate_common_subexpressions, Builder, DType, DotDims, Shape};
+    use overlap_mesh::Machine;
 
     use super::*;
-    use crate::find_patterns;
+    use crate::pattern::patterns_of;
+    use crate::{RingDirection, StrategySpec};
 
     fn f32s(dims: &[usize]) -> Shape {
         Shape::new(DType::F32, dims.to_vec())
+    }
+
+    /// Decomposes every pattern of `m` with `opts`.
+    fn decompose_all(m: &Module, opts: &DecomposeOptions) -> (Module, Vec<DecomposeSummary>) {
+        let items: Vec<_> = patterns_of(m).into_iter().map(|p| (p, *opts)).collect();
+        let (out, summaries, _) = decompose(m, &items);
+        (out, summaries)
     }
 
     fn ag_module(n: usize) -> Module {
@@ -944,9 +923,8 @@ mod tests {
     #[test]
     fn ag_unidirectional_structure() {
         let m = ag_module(4);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         assert_eq!(summaries.len(), 1);
         let s = &summaries[0];
@@ -967,9 +945,8 @@ mod tests {
     #[test]
     fn ag_bidirectional_structure() {
         let m = ag_module(4);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions { bidirectional: true, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert!(s.bidirectional);
@@ -982,10 +959,9 @@ mod tests {
     #[test]
     fn rs_single_chain_structure() {
         let m = rs_module(4);
-        let pats = find_patterns(&m);
         let opts =
             DecomposeOptions { bidirectional: false, unroll: false, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert_eq!(s.partial_einsums, 4);
@@ -999,10 +975,9 @@ mod tests {
     #[test]
     fn rs_two_chain_structure() {
         let m = rs_module(4);
-        let pats = find_patterns(&m);
         let opts =
             DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert_eq!(s.partial_einsums, 4);
@@ -1014,9 +989,8 @@ mod tests {
     #[test]
     fn odd_group_falls_back_to_unidirectional() {
         let m = ag_module(3);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions { bidirectional: true, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert!(!s.bidirectional, "odd group must fall back to unidirectional");
@@ -1039,10 +1013,9 @@ mod tests {
         let e = b.einsum(x, w, DotDims::matmul(), "e");
         let rs = b.reduce_scatter(e, 1, ReplicaGroups::full(3), "rs");
         let m = b.build(vec![rs]);
-        let pats = find_patterns(&m);
         let opts =
             DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert!(s.unrolled, "copies are still dropped");
@@ -1053,17 +1026,15 @@ mod tests {
         );
         // Even groups unroll cleanly: no reason recorded.
         let m4 = rs_module(4);
-        let pats4 = find_patterns(&m4);
-        let (_, summaries4) = decompose(&m4, &opts, &pats4);
+        let (_, summaries4) = decompose_all(&m4, &opts);
         assert_eq!(summaries4[0].unroll_fallback, None);
     }
 
     #[test]
     fn ag_chunked_structure() {
         let m = ag_module(4);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions { bidirectional: false, chunk: 2, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert_eq!(s.chunk, 2);
@@ -1078,14 +1049,13 @@ mod tests {
     #[test]
     fn ag_chunked_pad_max_variant_verifies() {
         let m = ag_module(8);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions {
             bidirectional: false,
             chunk: 4,
             pad_max_concat: true,
             ..Default::default()
         };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         assert_eq!(summaries[0].partial_einsums, 2);
         assert!(out.count_live(|i| matches!(i.op(), Op::Pad { .. })) > 0);
@@ -1095,10 +1065,9 @@ mod tests {
     #[test]
     fn infeasible_chunk_falls_back_with_reason() {
         let m = ag_module(4);
-        let pats = find_patterns(&m);
         // 3 does not divide 4.
         let opts = DecomposeOptions { bidirectional: false, chunk: 3, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert_eq!(s.chunk, 1);
@@ -1107,12 +1076,12 @@ mod tests {
 
         // chunk == g leaves nothing to overlap.
         let opts = DecomposeOptions { bidirectional: false, chunk: 4, ..Default::default() };
-        let (_, summaries) = decompose(&m, &opts, &pats);
+        let (_, summaries) = decompose_all(&m, &opts);
         assert!(summaries[0].chunk_fallback.as_deref().is_some_and(|r| r.contains("no loop")));
 
         // The bidirectional loop ignores chunking.
         let opts = DecomposeOptions { bidirectional: true, chunk: 2, ..Default::default() };
-        let (_, summaries) = decompose(&m, &opts, &pats);
+        let (_, summaries) = decompose_all(&m, &opts);
         assert!(summaries[0].chunk_fallback.as_deref().is_some_and(|r| r.contains("bidirectional")));
         assert_eq!(summaries[0].chunk, 1);
     }
@@ -1120,9 +1089,8 @@ mod tests {
     #[test]
     fn rs_chunk_request_records_reason() {
         let m = rs_module(4);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions { bidirectional: false, chunk: 2, ..Default::default() };
-        let (out, summaries) = decompose(&m, &opts, &pats);
+        let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
         assert_eq!(s.chunk, 1);
@@ -1132,13 +1100,12 @@ mod tests {
     #[test]
     fn pad_max_concat_variant_verifies() {
         let m = ag_module(4);
-        let pats = find_patterns(&m);
         let opts = DecomposeOptions {
             bidirectional: true,
             pad_max_concat: true,
             ..Default::default()
         };
-        let (out, _) = decompose(&m, &opts, &pats);
+        let (out, _) = decompose_all(&m, &opts);
         out.verify().unwrap();
         assert!(out.count_live(|i| matches!(i.op(), Op::Pad { .. })) > 0);
         assert_eq!(out.count_live(|i| matches!(i.op(), Op::Concatenate { .. })), 0);
@@ -1147,12 +1114,83 @@ mod tests {
     #[test]
     fn empty_selection_is_identity_modulo_names() {
         let m = ag_module(2);
-        let (out, summaries) = decompose(&m, &DecomposeOptions::default(), &[]);
+        let (out, summaries, _) = decompose(&m, &[]);
         assert!(summaries.is_empty());
         assert_eq!(out.len(), m.len());
         assert_eq!(
             out.count_live(|i| matches!(i.op(), Op::AllGather { .. })),
             m.count_live(|i| matches!(i.op(), Op::AllGather { .. }))
         );
+    }
+
+    /// The value-numbered rewrite lands on exactly the module — names and
+    /// arena order included — that the unnumbered rewrite plus CSE
+    /// produces, and CSE's maintained analysis matches a fresh one. The
+    /// selection is the pipeline's: gated, one pattern per einsum.
+    fn assert_numbering_matches_cse(module: &Module, machine: &Machine, strategy: &StrategySpec) {
+        let table = overlap_sim::CostTable::new(module, machine).expect("cost table");
+        let selected: Vec<_> = crate::CostModel::with_strategy(machine, strategy)
+            .select(&table, module, &patterns_of(module), true)
+            .iter()
+            .map(|d| {
+                let requested = strategy.options_for(&d.pattern.kind);
+                (d.pattern, DecomposeOptions { bidirectional: d.bidirectional, ..requested })
+            })
+            .collect();
+        let plain = decompose_impl(module, &selected, false).0;
+        let (merged, cse) = eliminate_common_subexpressions(&plain, &ModuleAnalysis::of(&plain));
+        let fresh = ModuleAnalysis::of(&merged);
+        assert_eq!(
+            (cse.users(), cse.fusion(), cse.live()),
+            (fresh.users(), fresh.fusion(), fresh.live()),
+            "CSE's maintained analysis diverged"
+        );
+        let numbered = decompose(module, &selected).0;
+        assert_eq!(merged, numbered, "value-numbered decompose must equal decompose + CSE");
+    }
+
+    #[test]
+    fn value_numbering_matches_cse_on_zoo_models() {
+        for cfg in overlap_models::table1_models() {
+            let strategy = StrategySpec::paper_default();
+            assert_numbering_matches_cse(&cfg.layer_module(), &cfg.machine(), &strategy);
+        }
+    }
+
+    /// A Fig. 3 MLP on an `m × n` mesh with `12·mults` sizes.
+    fn check_fig3_draw(m: usize, n: usize, mults: [usize; 3], bidirectional: bool) {
+        let mesh = overlap_mesh::DeviceMesh::new(vec![m, n]);
+        let (batch, feature, hidden) = (12 * mults[0], 12 * mults[1], 12 * mults[2]);
+        let cfg = overlap_sharding::mlp::MlpConfig { batch, feature, hidden };
+        let module = overlap_sharding::mlp::fig3_forward(&mesh, cfg).expect("builds");
+        let ring = if bidirectional {
+            RingDirection::Bidirectional
+        } else {
+            RingDirection::Unidirectional
+        };
+        let strategy = StrategySpec::paper_default().with_ring(ring);
+        assert_numbering_matches_cse(&module, &Machine::with_mesh(mesh), &strategy);
+    }
+
+    #[test]
+    fn value_numbering_matches_cse_on_fig3_corner_draws() {
+        check_fig3_draw(2, 2, [1, 1, 1], false);
+        check_fig3_draw(2, 2, [1, 1, 1], true);
+        check_fig3_draw(3, 2, [2, 1, 2], true);
+        check_fig3_draw(3, 3, [2, 2, 2], false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn value_numbering_matches_cse_on_random_fig3_mlps(
+            m in 2usize..4,
+            n in 2usize..4,
+            mults in (1usize..3, 1usize..3, 1usize..3),
+            bidirectional in 0u8..2,
+        ) {
+            check_fig3_draw(m, n, [mults.0, mults.1, mults.2], bidirectional == 1);
+        }
     }
 }

@@ -69,20 +69,9 @@ fn depends_on_done(module: &Module, id: InstrId) -> bool {
 /// `DynamicUpdateSlice`) is fused with one producer einsum chosen by the
 /// heuristic in [`FusionOptions`].
 ///
-/// Returns the same module with fusion groups attached.
-///
-/// # Panics
-///
-/// Panics if the module fails verification.
-#[must_use]
-pub fn fuse(module: &Module, options: &FusionOptions) -> Module {
-    module.verify().expect("fusion requires a verified module");
-    fuse_impl(module, &module.users(), options)
-}
-
-/// [`fuse`] with the users table taken from a shared [`ModuleAnalysis`]
-/// and verification skipped (the caller vouches via the analysis
-/// watermark). The caller should
+/// Returns the same module with fusion groups attached. The users table
+/// comes from `analysis`, whose verified watermark must cover `module`
+/// (the caller vouches for verification); the caller should
 /// [`refresh_fusion`](ModuleAnalysis::refresh_fusion) its analysis on the
 /// returned module.
 ///
@@ -90,7 +79,7 @@ pub fn fuse(module: &Module, options: &FusionOptions) -> Module {
 ///
 /// Panics if `analysis` does not cover and verify `module`.
 #[must_use]
-pub fn fuse_with(module: &Module, analysis: &ModuleAnalysis, options: &FusionOptions) -> Module {
+pub fn fuse(module: &Module, analysis: &ModuleAnalysis, options: &FusionOptions) -> Module {
     assert_eq!(analysis.len(), module.len(), "analysis does not cover module");
     assert_eq!(
         analysis.verified_len(),
@@ -253,6 +242,12 @@ mod tests {
         Shape::new(DType::F32, dims.to_vec())
     }
 
+    fn fuse_verified(m: &Module, options: &FusionOptions) -> Module {
+        let mut analysis = ModuleAnalysis::of(m);
+        m.verify_incremental(&mut analysis).unwrap();
+        fuse(m, &analysis, options)
+    }
+
     /// The Fig. 11 shape: Add(einsum_0, einsum_1) where einsum_1 consumes
     /// a CollectivePermuteDone.
     fn fig11_module() -> (Module, InstrId, InstrId, InstrId) {
@@ -271,7 +266,7 @@ mod tests {
     #[test]
     fn overlap_aware_fuses_add_with_dependent_einsum() {
         let (m, _e0, e1, add) = fig11_module();
-        let fused = fuse(&m, &FusionOptions { overlap_aware: true });
+        let fused = fuse_verified(&m, &FusionOptions { overlap_aware: true });
         fused.verify().unwrap();
         let fo = fused.fusion_of();
         assert!(fo[add.index()].is_some());
@@ -285,7 +280,7 @@ mod tests {
     #[test]
     fn default_heuristic_reproduces_bad_fusion() {
         let (m, e0, e1, add) = fig11_module();
-        let fused = fuse(&m, &FusionOptions { overlap_aware: false });
+        let fused = fuse_verified(&m, &FusionOptions { overlap_aware: false });
         fused.verify().unwrap();
         let fo = fused.fusion_of();
         assert!(fo[add.index()].is_some());
@@ -303,7 +298,7 @@ mod tests {
         let ds = b.dynamic_slice(x, &[zero, zero], vec![4, 16], "ds");
         let e = b.einsum(ds, w, DotDims::matmul(), "e");
         let m = b.build(vec![e]);
-        let fused = fuse(&m, &FusionOptions::default());
+        let fused = fuse_verified(&m, &FusionOptions::default());
         let fo = fused.fusion_of();
         assert!(fo[ds.index()].is_some());
         assert_eq!(fo[ds.index()], fo[e.index()]);
@@ -318,7 +313,7 @@ mod tests {
         let add = b.add(e, x, "add");
         let c = b.copy(e, "c"); // second user of the einsum
         let m = b.build(vec![add, c]);
-        let fused = fuse(&m, &FusionOptions::default());
+        let fused = fuse_verified(&m, &FusionOptions::default());
         let fo = fused.fusion_of();
         // The add cannot join the einsum's group, which therefore stays a
         // singleton and is dropped entirely.

@@ -45,6 +45,14 @@
 //!   (unroutable links, watchdog); every fallback is recorded in
 //!   [`Compiled::fallbacks`].
 //!
+//! Each pass has exactly one public entry point — the form
+//! [`OverlapPipeline::run`] calls. The read-only passes borrow a
+//! [`ModuleAnalysis`](overlap_hlo::ModuleAnalysis), the rebuilding ones
+//! ([`split_all_reduces`], [`decompose`], [`asyncify`]) return the
+//! analysis of their output, and the schedulers and the cost gate read
+//! one [`CostTable`](overlap_sim::CostTable). Outside the pipeline, build
+//! those inputs with `ModuleAnalysis::of` and `CostTable::new`.
+//!
 //! Every rewrite is semantically equivalent to the original module; the
 //! integration tests check this bit-for-bit (up to float reassociation)
 //! with the `overlap-numerics` SPMD interpreter.
@@ -66,22 +74,17 @@ mod report;
 mod schedule;
 mod strategy;
 
-pub use asyncify::{asyncify, asyncify_with};
+pub use asyncify::asyncify;
 pub use cache::{artifact_key, artifact_key_faulted, ArtifactCache, CacheOutcome, CacheStats};
 pub use costgate::{CostModel, FaultGateAdjust, GateDecision};
-pub use decompose::{
-    decompose, decompose_each, decompose_each_with, DecomposeOptions, DecomposeSummary,
-};
-pub use fusion::{fuse, fuse_with, FusionOptions};
-pub use pattern::{find_patterns, find_patterns_with, AgCase, Pattern, PatternKind};
+pub use decompose::{decompose, DecomposeOptions, DecomposeSummary};
+pub use fusion::{fuse, FusionOptions};
+pub use pattern::{find_patterns, AgCase, Pattern, PatternKind};
 pub use pipeline::{Compiled, FallbackRecord, OverlapOptions, OverlapPipeline, SchedulerKind};
 pub use profile::{PhaseTiming, PhaseTimings};
-pub use reassociate::{split_all_reduces, split_all_reduces_with, REASSOC_TAG};
+pub use reassociate::{split_all_reduces, REASSOC_TAG};
 pub use report::CompileReport;
-pub use schedule::{
-    schedule_bottom_up, schedule_bottom_up_ctx, schedule_bottom_up_with, schedule_top_down,
-    schedule_top_down_ctx, ScheduleContext, ScheduleWindow,
-};
+pub use schedule::{schedule_bottom_up, schedule_top_down, ScheduleWindow};
 pub use strategy::{
     FusionAggressiveness, PartitionHint, PatternStrategy, RingDirection, StrategySpec,
 };

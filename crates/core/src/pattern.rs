@@ -78,19 +78,14 @@ fn classify_ag_dim(dims: &DotDims, dim: usize, is_lhs: bool) -> AgCase {
 /// Patterns whose collective has `group_size == 1` (nothing to transfer)
 /// are skipped, as are ReduceScatters over output batch dimensions (not
 /// covered by §5.1's transformation).
-#[must_use]
-pub fn find_patterns(module: &Module) -> Vec<Pattern> {
-    find_patterns_in(module, &module.users())
-}
-
-/// [`find_patterns`] with the users table taken from a shared
-/// [`ModuleAnalysis`] instead of recomputed from scratch.
+///
+/// The users table comes from `analysis`, which must cover `module`.
 ///
 /// # Panics
 ///
 /// Panics if `analysis` does not cover `module`.
 #[must_use]
-pub fn find_patterns_with(module: &Module, analysis: &ModuleAnalysis) -> Vec<Pattern> {
+pub fn find_patterns(module: &Module, analysis: &ModuleAnalysis) -> Vec<Pattern> {
     assert_eq!(analysis.len(), module.len(), "analysis does not cover module");
     find_patterns_in(module, analysis.users())
 }
@@ -151,6 +146,12 @@ fn find_patterns_in(module: &Module, users: &[Vec<InstrId>]) -> Vec<Pattern> {
     patterns
 }
 
+/// [`find_patterns`] over a fresh analysis, for tests.
+#[cfg(test)]
+pub(crate) fn patterns_of(module: &Module) -> Vec<Pattern> {
+    find_patterns(module, &ModuleAnalysis::of(module))
+}
+
 #[cfg(test)]
 mod tests {
     use overlap_hlo::{Builder, DType, ReplicaGroups, Shape};
@@ -182,7 +183,7 @@ mod tests {
         let m = b.build(vec![e1, e2, e3]);
         m.verify().unwrap();
 
-        let pats = find_patterns(&m);
+        let pats = patterns_of(&m);
         assert_eq!(pats.len(), 3);
         assert_eq!(
             pats[0].kind,
@@ -207,7 +208,7 @@ mod tests {
         let e = b.einsum(x, w, DotDims::matmul(), "e");
         let rs = b.reduce_scatter(e, 1, ReplicaGroups::full(n), "rs");
         let m = b.build(vec![rs]);
-        let pats = find_patterns(&m);
+        let pats = patterns_of(&m);
         assert_eq!(pats.len(), 1);
         assert_eq!(
             pats[0].kind,
@@ -227,7 +228,7 @@ mod tests {
         let e = b.einsum(x, g, DotDims::matmul(), "e");
         let c = b.copy(g, "c"); // second user of the gather
         let m = b.build(vec![e, c]);
-        assert!(find_patterns(&m).is_empty());
+        assert!(patterns_of(&m).is_empty());
     }
 
     #[test]
@@ -240,7 +241,7 @@ mod tests {
         let rs = b.reduce_scatter(e, 1, ReplicaGroups::full(n), "rs");
         let c = b.copy(e, "c");
         let m = b.build(vec![rs, c]);
-        assert!(find_patterns(&m).is_empty());
+        assert!(patterns_of(&m).is_empty());
     }
 
     #[test]
@@ -253,7 +254,7 @@ mod tests {
         let gw = b.all_gather(w, 0, ReplicaGroups::full(n), "gw");
         let e = b.einsum(gx, gw, DotDims::matmul(), "e");
         let m = b.build(vec![e]);
-        let pats = find_patterns(&m);
+        let pats = patterns_of(&m);
         assert_eq!(pats.len(), 2);
         assert_eq!(pats[0].einsum, e);
         assert_eq!(pats[1].einsum, e);
@@ -268,6 +269,6 @@ mod tests {
         let e = b.einsum(x, w, DotDims::batch_matmul(), "e");
         let rs = b.reduce_scatter(e, 0, ReplicaGroups::full(n), "rs");
         let m = b.build(vec![rs]);
-        assert!(find_patterns(&m).is_empty());
+        assert!(patterns_of(&m).is_empty());
     }
 }

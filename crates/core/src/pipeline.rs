@@ -4,17 +4,15 @@ use overlap_hlo::{HloError, InstrId, LayerTags, Module, ModuleAnalysis, WireForm
 use overlap_mesh::{FaultSpec, Machine};
 use overlap_sim::{CostTable, Simulation};
 
-use crate::asyncify::asyncify_with;
+use crate::asyncify::asyncify;
 use crate::costgate::{CostModel, FaultGateAdjust, GateDecision};
-use crate::decompose::{decompose_each_with, DecomposeOptions, DecomposeSummary};
-use crate::fusion::{fuse_with, FusionOptions};
-use crate::pattern::find_patterns_with;
+use crate::decompose::{decompose, DecomposeOptions, DecomposeSummary};
+use crate::fusion::{fuse, FusionOptions};
+use crate::pattern::find_patterns;
 use crate::profile::PhaseTimings;
-use crate::reassociate::split_all_reduces_with;
+use crate::reassociate::split_all_reduces;
+use crate::schedule::{schedule_bottom_up, schedule_top_down, ScheduleWindow};
 use crate::strategy::StrategySpec;
-use crate::schedule::{
-    schedule_bottom_up_ctx, schedule_top_down_ctx, ScheduleContext, ScheduleWindow,
-};
 
 /// Which §5.2 scheduler orders the final instruction sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -317,8 +315,8 @@ impl OverlapPipeline {
     /// append-by-append), the read-only passes borrow its users/fusion
     /// tables, and the final check is the *incremental* verifier — only
     /// the instructions past the analysis watermark get per-instruction
-    /// checks (set `OVERLAP_FULL_VERIFY=1` to cross-check against the
-    /// full verifier). Per-pass wall times land in [`Compiled::timings`].
+    /// checks (debug builds cross-check it against the full verifier).
+    /// Per-pass wall times land in [`Compiled::timings`].
     ///
     /// # Errors
     ///
@@ -336,7 +334,7 @@ impl OverlapPipeline {
         let split_module;
         let analysis;
         let module: &Module = if self.options.split_all_reduce {
-            let (m, a) = timings.time("split_all_reduces", || split_all_reduces_with(module));
+            let (m, a) = timings.time("split_all_reduces", || split_all_reduces(module));
             split_module = m;
             analysis = a;
             &split_module
@@ -349,7 +347,7 @@ impl OverlapPipeline {
             module
         };
 
-        let patterns = timings.time("find_patterns", || find_patterns_with(module, &analysis));
+        let patterns = timings.time("find_patterns", || find_patterns(module, &analysis));
         let cost_model = CostModel::with_strategy(machine, &self.options.strategy);
         let decisions = timings.time("cost_gate", || {
             if patterns.is_empty() {
@@ -360,7 +358,7 @@ impl OverlapPipeline {
             // table reuses the already-verified analysis.
             let table = CostTable::with_analysis(module, &analysis, machine)
                 .expect("verified input must have computable costs");
-            cost_model.select_with(&table, module, &patterns, !self.options.disable_cost_gate)
+            cost_model.select(&table, module, &patterns, !self.options.disable_cost_gate)
         });
 
         // Fault-aware re-gate: with a (non-noop) spec and the gate on,
@@ -437,10 +435,10 @@ impl OverlapPipeline {
         }
         let selected = selected;
 
-        // `decompose_each_with` value-numbers as it builds, so the result
-        // is already in CSE normal form — no separate merge pass needed.
+        // `decompose` value-numbers as it builds, so the result is
+        // already in CSE normal form — no separate merge pass needed.
         let (mut decomposed, summaries, _decompose_analysis) =
-            timings.time("decompose", || decompose_each_with(module, &selected));
+            timings.time("decompose", || decompose(module, &selected));
 
         // Precision annotation for kept collectives: when the strategy
         // asks for a quantized wire, collectives that survived in their
@@ -480,10 +478,10 @@ impl OverlapPipeline {
         }
         // asyncify rebuilds the module, so its builder re-derives the
         // analysis append-by-append.
-        let (asynced, mut analysis) = timings.time("asyncify", || asyncify_with(&decomposed));
+        let (asynced, mut analysis) = timings.time("asyncify", || asyncify(&decomposed));
         let final_module = match self.options.fusion_options() {
             Some(fopts) => timings.time("fuse", || {
-                let fused = fuse_with(&asynced, &analysis, &fopts);
+                let fused = fuse(&asynced, &analysis, &fopts);
                 analysis.refresh_fusion(&fused);
                 fused
             }),
@@ -513,17 +511,15 @@ impl OverlapPipeline {
                 )
             };
             match self.options.scheduler {
-                SchedulerKind::BottomUp => {
-                    let ctx =
-                        ScheduleContext::new(&cost_table, &analysis, &final_module, machine)
-                            .with_window(window());
-                    schedule_bottom_up_ctx(&ctx, &final_module, machine)
-                }
+                SchedulerKind::BottomUp => schedule_bottom_up(
+                    &cost_table,
+                    &analysis,
+                    &final_module,
+                    machine,
+                    window(),
+                ),
                 SchedulerKind::TopDown => {
-                    let ctx =
-                        ScheduleContext::new(&cost_table, &analysis, &final_module, machine)
-                            .with_window(window());
-                    schedule_top_down_ctx(&ctx, &final_module, machine)
+                    schedule_top_down(&cost_table, &analysis, &final_module, machine, window())
                 }
                 SchedulerKind::Original => final_module.arena_order(),
             }

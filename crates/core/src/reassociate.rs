@@ -22,22 +22,14 @@ pub const REASSOC_TAG: &str = "reassoc.ar_split";
 /// The transformation is semantically the identity (checked by the
 /// cross-crate equivalence tests).
 ///
-/// # Panics
-///
-/// Panics if the module is malformed (operands after users).
-#[must_use]
-pub fn split_all_reduces(module: &Module) -> Module {
-    split_all_reduces_with(module).0
-}
-
-/// [`split_all_reduces`] also returning the rewritten module's
-/// [`ModuleAnalysis`], maintained append-by-append by the builder.
+/// Returns the rewritten module with its [`ModuleAnalysis`], maintained
+/// append-by-append by the builder.
 ///
 /// # Panics
 ///
 /// Panics if the module is malformed (operands after users).
 #[must_use]
-pub fn split_all_reduces_with(module: &Module) -> (Module, ModuleAnalysis) {
+pub fn split_all_reduces(module: &Module) -> (Module, ModuleAnalysis) {
     let mut b = Builder::new(module.name().to_string(), module.num_partitions());
     let mut map: Vec<Option<InstrId>> = vec![None; module.len()];
     for (id, ins) in module.iter() {
@@ -109,14 +101,15 @@ mod tests {
     #[test]
     fn split_exposes_decomposable_patterns() {
         let m = megatron(4);
-        assert!(find_patterns(&m).is_empty(), "AllReduce alone is not decomposable");
-        let split = split_all_reduces(&m);
+        let analysis = ModuleAnalysis::of(&m);
+        assert!(find_patterns(&m, &analysis).is_empty(), "AllReduce alone is not decomposable");
+        let (split, analysis) = split_all_reduces(&m);
         split.verify().unwrap();
         assert_eq!(split.count_live(|i| matches!(i.op(), Op::AllReduce { .. })), 0);
         assert_eq!(split.count_live(|i| matches!(i.op(), Op::ReduceScatter { .. })), 1);
         assert_eq!(split.count_live(|i| matches!(i.op(), Op::AllGather { .. })), 1);
         // The einsum -> reduce-scatter pattern is now visible.
-        let patterns = find_patterns(&split);
+        let patterns = find_patterns(&split, &analysis);
         assert_eq!(patterns.len(), 1);
     }
 
@@ -127,7 +120,7 @@ mod tests {
         let x = b.parameter(f32s(&[3, 5]), "x"); // nothing divisible by 4
         let ar = b.all_reduce(x, ReplicaGroups::full(n), "ar");
         let m = b.build(vec![ar]);
-        let split = split_all_reduces(&m);
+        let (split, _) = split_all_reduces(&m);
         assert_eq!(split.count_live(|i| matches!(i.op(), Op::AllReduce { .. })), 1);
     }
 
@@ -137,7 +130,7 @@ mod tests {
         let x = b.parameter(f32s(&[4]), "x");
         let ar = b.all_reduce(x, ReplicaGroups::full(1), "ar");
         let m = b.build(vec![ar]);
-        let split = split_all_reduces(&m);
+        let (split, _) = split_all_reduces(&m);
         assert_eq!(split.count_live(|i| matches!(i.op(), Op::AllReduce { .. })), 1);
     }
 }

@@ -163,85 +163,6 @@ impl<'a> WindowCursor<'a> {
     }
 }
 
-/// Shared scheduling inputs: the cost table, the maintained users table,
-/// and the simulator-faithful per-instruction latencies — computed
-/// **once** and shared between both schedulers (and any number of
-/// scheduler invocations) instead of being recomputed per call.
-pub struct ScheduleContext<'a> {
-    table: &'a CostTable,
-    analysis: &'a ModuleAnalysis,
-    effective_lat: Vec<f64>,
-    window: Option<ScheduleWindow>,
-}
-
-impl<'a> ScheduleContext<'a> {
-    /// Builds the context for one `(module, machine)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` or `analysis` does not cover `module`.
-    #[must_use]
-    pub fn new(
-        table: &'a CostTable,
-        analysis: &'a ModuleAnalysis,
-        module: &Module,
-        machine: &Machine,
-    ) -> Self {
-        assert_eq!(table.len(), module.len(), "cost table built for a different module");
-        assert_eq!(analysis.len(), module.len(), "analysis does not cover module");
-        ScheduleContext {
-            table,
-            analysis,
-            effective_lat: effective_latencies(table, module, machine),
-            window: None,
-        }
-    }
-
-    /// Attaches a cross-layer window constraint (`None` leaves both
-    /// schedulers byte-identical to the unwindowed pass).
-    #[must_use]
-    pub fn with_window(mut self, window: Option<ScheduleWindow>) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// The per-instruction latencies the schedulers plan with (fusion
-    /// members zeroed, roots carrying their group's cost).
-    #[must_use]
-    pub fn effective_latencies(&self) -> &[f64] {
-        &self.effective_lat
-    }
-}
-
-/// [`schedule_bottom_up`] driven by a prebuilt [`ScheduleContext`]: no
-/// verification, no users rebuild, no latency recomputation.
-#[must_use]
-pub fn schedule_bottom_up_ctx(
-    ctx: &ScheduleContext<'_>,
-    module: &Module,
-    machine: &Machine,
-) -> Vec<InstrId> {
-    bottom_up_impl(
-        ctx.table,
-        module,
-        machine,
-        ctx.analysis.users(),
-        &ctx.effective_lat,
-        ctx.window.as_ref(),
-    )
-}
-
-/// [`schedule_top_down`] driven by a prebuilt [`ScheduleContext`]: no
-/// verification and no users rebuild.
-#[must_use]
-pub fn schedule_top_down_ctx(
-    ctx: &ScheduleContext<'_>,
-    module: &Module,
-    machine: &Machine,
-) -> Vec<InstrId> {
-    top_down_impl(module, machine, ctx.analysis.users(), ctx.window.as_ref())
-}
-
 fn done_transfer_latency_of_start(table: &CostTable, start: InstrId) -> f64 {
     match table.cost(start) {
         InstrCost::AsyncStart(t) => t.seconds,
@@ -263,6 +184,11 @@ fn done_transfer_latency_of_start(table: &CostTable, start: InstrId) -> f64 {
 /// budget (`machine.max_inflight_async()`) defers additional dones when
 /// exhausted (footnote 11 of the paper).
 ///
+/// `table` and `analysis` must cover `module` (the scheduler reads the
+/// per-instruction costs and the users table from them); `window`
+/// bounds how far the order may interleave `L<k>.` layer stages, and
+/// `None` leaves the order unconstrained.
+///
 /// Returns a complete topological order (operands precede users).
 ///
 /// # Example
@@ -271,49 +197,39 @@ fn done_transfer_latency_of_start(table: &CostTable, start: InstrId) -> f64 {
 /// use overlap_core::{asyncify, schedule_bottom_up};
 /// use overlap_hlo::{Builder, DType, Shape};
 /// use overlap_mesh::Machine;
+/// use overlap_sim::CostTable;
 ///
 /// let mut b = Builder::new("m", 2);
 /// let x = b.parameter(Shape::new(DType::F32, vec![1024]), "x");
 /// let p = b.collective_permute(x, vec![(0, 1), (1, 0)], "p");
 /// let c = b.copy(p, "c");
-/// let m = asyncify(&b.build(vec![c]));
+/// let (m, analysis) = asyncify(&b.build(vec![c]));
 ///
-/// let order = schedule_bottom_up(&m, &Machine::tpu_v4_like(2));
+/// let machine = Machine::tpu_v4_like(2);
+/// let table = CostTable::new(&m, &machine).unwrap();
+/// let order = schedule_bottom_up(&table, &analysis, &m, &machine, None);
 /// assert_eq!(order.len(), m.len());
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if the module fails verification.
+/// Panics if `table` or `analysis` does not cover `module`.
 #[must_use]
-pub fn schedule_bottom_up(module: &Module, machine: &Machine) -> Vec<InstrId> {
-    let table =
-        CostTable::new(module, machine).expect("schedule requires a verified module");
-    schedule_bottom_up_with(&table, module, machine)
-}
-
-/// [`schedule_bottom_up`] with a pre-built [`CostTable`] for the same
-/// `(module, machine)` pair, skipping re-verification and per-call cost
-/// re-derivation. The pipeline builds one table per compiled module and
-/// shares it between scheduling and simulation.
-///
-/// # Panics
-///
-/// Panics if the table does not cover the module.
-#[must_use]
-pub fn schedule_bottom_up_with(
+pub fn schedule_bottom_up(
     table: &CostTable,
+    analysis: &ModuleAnalysis,
     module: &Module,
     machine: &Machine,
+    window: Option<ScheduleWindow>,
 ) -> Vec<InstrId> {
-    assert_eq!(
-        table.len(),
-        module.len(),
-        "cost table built for a different module"
-    );
-    let users = module.users();
+    assert_covers(table, analysis, module);
     let effective_lat = effective_latencies(table, module, machine);
-    bottom_up_impl(table, module, machine, &users, &effective_lat, None)
+    bottom_up_impl(table, module, machine, analysis.users(), &effective_lat, window.as_ref())
+}
+
+fn assert_covers(table: &CostTable, analysis: &ModuleAnalysis, module: &Module) {
+    assert_eq!(table.len(), module.len(), "cost table built for a different module");
+    assert_eq!(analysis.len(), module.len(), "analysis does not cover module");
 }
 
 fn bottom_up_impl(
@@ -501,16 +417,24 @@ fn bottom_up_impl(
 /// in-flight asynchronous budget is exhausted the priorities flip so a
 /// done retires before the next start issues.
 ///
+/// Takes the same inputs as [`schedule_bottom_up`] (the cost table only
+/// pins which module the inputs describe).
+///
 /// Returns a complete topological order (operands precede users).
 ///
 /// # Panics
 ///
-/// Panics if the module fails verification.
+/// Panics if `table` or `analysis` does not cover `module`.
 #[must_use]
-pub fn schedule_top_down(module: &Module, machine: &Machine) -> Vec<InstrId> {
-    module.verify().expect("schedule requires a verified module");
-    let users = module.users();
-    top_down_impl(module, machine, &users, None)
+pub fn schedule_top_down(
+    table: &CostTable,
+    analysis: &ModuleAnalysis,
+    module: &Module,
+    machine: &Machine,
+    window: Option<ScheduleWindow>,
+) -> Vec<InstrId> {
+    assert_covers(table, analysis, module);
+    top_down_impl(module, machine, analysis.users(), window.as_ref())
 }
 
 fn top_down_impl(
@@ -614,6 +538,16 @@ mod tests {
         Shape::new(DType::F32, dims.to_vec())
     }
 
+    /// The bottom-up and top-down orders of `m` under `window`.
+    fn both(m: &Module, machine: &Machine, window: Option<ScheduleWindow>) -> [Vec<InstrId>; 2] {
+        let table = CostTable::new(m, machine).unwrap();
+        let analysis = ModuleAnalysis::of(m);
+        [
+            schedule_bottom_up(&table, &analysis, m, machine, window.clone()),
+            schedule_top_down(&table, &analysis, m, machine, window),
+        ]
+    }
+
     /// A module with one async transfer and one big independent einsum:
     /// good schedulers put the start before the einsum and the done after.
     fn overlap_opportunity() -> (Module, InstrId, InstrId, InstrId) {
@@ -635,7 +569,7 @@ mod tests {
     fn bottom_up_overlaps_transfer_with_compute() {
         let (m, s, d, y) = overlap_opportunity();
         let machine = Machine::tpu_v4_like(2);
-        let order = schedule_bottom_up(&m, &machine);
+        let [order, _] = both(&m, &machine, None);
         let pos = positions(&order);
         assert!(pos[&s] < pos[&y], "start should issue before the einsum");
         assert!(pos[&d] > pos[&y], "done should retire after the einsum");
@@ -647,7 +581,7 @@ mod tests {
     fn top_down_overlaps_transfer_with_compute() {
         let (m, s, d, y) = overlap_opportunity();
         let machine = Machine::tpu_v4_like(2);
-        let order = schedule_top_down(&m, &machine);
+        let [_, order] = both(&m, &machine, None);
         let pos = positions(&order);
         assert!(pos[&s] < pos[&y]);
         assert!(pos[&d] > pos[&y]);
@@ -659,7 +593,7 @@ mod tests {
     fn schedules_are_complete_topological_orders() {
         let (m, _, _, _) = overlap_opportunity();
         let machine = Machine::tpu_v4_like(2);
-        for order in [schedule_bottom_up(&m, &machine), schedule_top_down(&m, &machine)] {
+        for order in both(&m, &machine, None) {
             assert_eq!(order.len(), m.len());
             // The simulator validates topological completeness.
             Simulation::new(&m, &machine).order(&order).run().unwrap();
@@ -677,7 +611,7 @@ mod tests {
         let s2 = b.collective_permute_start(x, pairs, "s2");
         let d2 = b.collective_permute_done(s2, "d2");
         let m = b.build(vec![d1, d2]);
-        let order = schedule_top_down(&m, &machine);
+        let [_, order] = both(&m, &machine, None);
         let pos = positions(&order);
         // With budget 1, the second start must wait for the first done.
         assert!(pos[&d1] < pos[&s2] || pos[&d2] < pos[&s1]);
@@ -691,7 +625,7 @@ mod tests {
         let c2 = b.copy(c, "c2");
         let m = b.build(vec![c2]);
         let machine = Machine::tpu_v4_like(1);
-        let order = schedule_bottom_up(&m, &machine);
+        let [order, _] = both(&m, &machine, None);
         assert_eq!(order, vec![x, c, c2]);
     }
 
@@ -730,31 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn none_window_context_matches_plain_schedulers() {
-        let m = stacked_tagged(3);
-        let machine = Machine::tpu_v4_like(2);
-        let table = CostTable::new(&m, &machine).unwrap();
-        let analysis = ModuleAnalysis::of(&m);
-        let ctx = ScheduleContext::new(&table, &analysis, &m, &machine).with_window(None);
-        assert_eq!(
-            schedule_bottom_up_ctx(&ctx, &m, &machine),
-            schedule_bottom_up_with(&table, &m, &machine)
-        );
-        assert_eq!(schedule_top_down_ctx(&ctx, &m, &machine), schedule_top_down(&m, &machine));
-    }
-
-    #[test]
     fn window_one_enforces_stage_barriers() {
         let m = stacked_tagged(3);
         let machine = Machine::tpu_v4_like(2);
-        let table = CostTable::new(&m, &machine).unwrap();
-        let analysis = ModuleAnalysis::of(&m);
         let tags = LayerTags::of(&m);
-        let ctx = ScheduleContext::new(&table, &analysis, &m, &machine)
-            .with_window(ScheduleWindow::new(&tags, 1));
-        for order in
-            [schedule_bottom_up_ctx(&ctx, &m, &machine), schedule_top_down_ctx(&ctx, &m, &machine)]
-        {
+        for order in both(&m, &machine, ScheduleWindow::new(&tags, 1)) {
             assert_eq!(order.len(), m.len());
             Simulation::new(&m, &machine).order(&order).run().unwrap();
             // Strict barriers: stage tags are non-decreasing along the order.
@@ -769,16 +683,9 @@ mod tests {
     fn windowed_orders_are_valid_and_bounded() {
         let m = stacked_tagged(4);
         let machine = Machine::tpu_v4_like(2);
-        let table = CostTable::new(&m, &machine).unwrap();
-        let analysis = ModuleAnalysis::of(&m);
         let tags = LayerTags::of(&m);
         for w in [2usize, 3] {
-            let ctx = ScheduleContext::new(&table, &analysis, &m, &machine)
-                .with_window(ScheduleWindow::new(&tags, w));
-            for order in [
-                schedule_bottom_up_ctx(&ctx, &m, &machine),
-                schedule_top_down_ctx(&ctx, &m, &machine),
-            ] {
+            for order in both(&m, &machine, ScheduleWindow::new(&tags, w)) {
                 assert_eq!(order.len(), m.len());
                 Simulation::new(&m, &machine).order(&order).run().unwrap();
                 // Any two instructions more than `w` stages apart must

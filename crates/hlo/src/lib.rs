@@ -75,7 +75,5 @@ pub use ops::{BinaryKind, CollectiveOp, Op, PadDim, ReplicaGroups, UnaryKind};
 pub use overlap_quant::WireFormat;
 pub use shape::Shape;
 pub use transform::{
-    eliminate_common_subexpressions, eliminate_common_subexpressions_with, eliminate_dead_code,
-    module_stats, to_dot, ModuleStats,
+    eliminate_common_subexpressions, eliminate_dead_code, module_stats, to_dot, ModuleStats,
 };
-pub use verify::FULL_VERIFY_ENV;

@@ -141,29 +141,17 @@ fn cse_key(module: &Module, id: InstrId, map: &[Option<InstrId>]) -> Option<Vec<
 /// Merges structurally identical pure instructions (constants, partition
 /// ids, scalar index arithmetic, reshapes/slices of the same value).
 ///
-/// Instructions inside fusion groups are left untouched so group
-/// structure survives; everything else merges by `(op, shape, operands)`.
-///
-/// # Panics
-///
-/// Panics if the module is malformed.
-#[must_use]
-pub fn eliminate_common_subexpressions(module: &Module) -> Module {
-    let in_fusion = module.fusion_of();
-    cse_impl(module, &in_fusion).0
-}
-
-/// Analysis-threaded variant of [`eliminate_common_subexpressions`]: uses
-/// the maintained fusion table instead of recomputing it and returns the
-/// rebuilt module together with its builder-maintained
-/// [`ModuleAnalysis`].
+/// Instructions inside fusion groups (read from `analysis`'s fusion
+/// table) are left untouched so group structure survives; everything
+/// else merges by `(op, shape, operands)`. Returns the rebuilt module
+/// together with its builder-maintained [`ModuleAnalysis`].
 ///
 /// # Panics
 ///
 /// Panics if `analysis` does not cover `module`, or the module is
 /// malformed.
 #[must_use]
-pub fn eliminate_common_subexpressions_with(
+pub fn eliminate_common_subexpressions(
     module: &Module,
     analysis: &ModuleAnalysis,
 ) -> (Module, ModuleAnalysis) {
@@ -320,6 +308,10 @@ mod tests {
         Shape::new(DType::F32, dims.to_vec())
     }
 
+    fn cse(m: &Module) -> Module {
+        eliminate_common_subexpressions(m, &ModuleAnalysis::of(m)).0
+    }
+
     #[test]
     fn dce_drops_unreachable() {
         let mut b = Builder::new("m", 1);
@@ -344,7 +336,7 @@ mod tests {
         let a2 = b.add(p2, c2, "a2");
         let x = b.parameter(f32s(&[4]), "x");
         let m = b.build(vec![a1, a2, x]);
-        let out = eliminate_common_subexpressions(&m);
+        let out = cse(&m);
         out.verify().unwrap();
         // p1==p2, c1==c2, a1==a2: 6 scalar instrs collapse to 3.
         assert_eq!(out.len(), 4);
@@ -357,7 +349,7 @@ mod tests {
         let g1 = b.all_gather(x, 0, ReplicaGroups::full(2), "g1");
         let g2 = b.all_gather(x, 0, ReplicaGroups::full(2), "g2");
         let m = b.build(vec![g1, g2]);
-        let out = eliminate_common_subexpressions(&m);
+        let out = cse(&m);
         assert_eq!(
             out.count_live(|i| matches!(i.op(), Op::AllGather { .. })),
             2,
@@ -406,7 +398,7 @@ mod tests {
         let s1 = b.add(x, c, "s1");
         let s2 = b.add(s1, c2, "s2");
         let m = b.build(vec![s2]);
-        let out = eliminate_common_subexpressions(&m);
+        let out = cse(&m);
         out.verify().unwrap();
         assert!(out.len() < m.len());
     }

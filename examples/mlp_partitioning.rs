@@ -9,7 +9,7 @@
 //! ```
 
 use overlap::core::{asyncify, decompose, find_patterns, DecomposeOptions};
-use overlap::hlo::Op;
+use overlap::hlo::{ModuleAnalysis, Op};
 use overlap::mesh::DeviceMesh;
 use overlap::numerics::{run_spmd, Literal};
 use overlap::sharding::mlp::{fig2_forward, fig3_forward, MlpConfig};
@@ -35,14 +35,16 @@ fn main() {
     println!("{fig3}");
 
     // ---- Decompose and check numerical equivalence ----
-    let mut patterns = find_patterns(&fig3);
+    let mut patterns = find_patterns(&fig3, &ModuleAnalysis::of(&fig3));
     println!("\ndecomposable patterns found: {}", patterns.len());
     // An einsum can have two candidate collectives (both operands
     // gathered); decompose at most one per einsum, as the cost gate would.
     let mut seen = std::collections::HashSet::new();
     patterns.retain(|p| seen.insert(p.einsum));
-    let (decomposed, summaries) = decompose(&fig3, &DecomposeOptions::default(), &patterns);
-    let asynced = asyncify(&decomposed);
+    let selected: Vec<_> =
+        patterns.into_iter().map(|p| (p, DecomposeOptions::default())).collect();
+    let (decomposed, summaries, _) = decompose(&fig3, &selected);
+    let (asynced, _) = asyncify(&decomposed);
     for s in &summaries {
         println!(
             "  {}: {} partial einsums, {} permutes",

@@ -99,18 +99,20 @@ fn simulation_is_deterministic() {
 /// partial einsums actually cost in the simulator's model.
 #[test]
 fn gate_comp_d_matches_emitted_partials() {
-    use overlap::core::{decompose_each, CostModel, DecomposeOptions};
-    use overlap::sim::{instruction_cost, InstrCost};
+    use overlap::core::{decompose, find_patterns, CostModel, DecomposeOptions};
+    use overlap::hlo::ModuleAnalysis;
+    use overlap::sim::{instruction_cost, CostTable, InstrCost};
 
     let module = cfg().layer_module();
     let machine = cfg().machine();
     let options = DecomposeOptions::default();
     let cm = CostModel::new(&machine, options);
-    let patterns = overlap::core::find_patterns(&module);
-    let decisions = cm.select(&module, &patterns, false);
+    let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
+    let table = CostTable::new(&module, &machine).expect("cost table");
+    let decisions = cm.select(&table, &module, &patterns, false);
     for d in decisions.iter().take(4) {
         let opts = DecomposeOptions { bidirectional: d.bidirectional, ..options };
-        let (out, _) = decompose_each(&module, &[(d.pattern, opts)]);
+        let (out, _, _) = decompose(&module, &[(d.pattern, opts)]);
         let partial_sum: f64 = out
             .iter()
             .filter(|(_, ins)| ins.tag() == Some("lce.partial_einsum"))

@@ -10,7 +10,7 @@
 //! interpreter.
 
 use overlap::core::{asyncify, decompose, find_patterns, fuse, DecomposeOptions, FusionOptions};
-use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
+use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh};
 use overlap::numerics::{run_spmd, Literal};
 use overlap::sharding::mlp::{fig3_forward, MlpConfig};
@@ -86,18 +86,19 @@ fn all_option_combos() -> Vec<DecomposeOptions> {
 }
 
 fn check_all_variants(m: &Module) {
-    let mut patterns = find_patterns(m);
+    let mut patterns = find_patterns(m, &ModuleAnalysis::of(m));
     assert!(!patterns.is_empty(), "module must contain a decomposable pattern");
     // At most one pattern per einsum (the pipeline's cost gate normally
     // guarantees this); keep the first candidate.
     let mut seen = std::collections::HashSet::new();
     patterns.retain(|p| seen.insert(p.einsum));
     for opts in all_option_combos() {
-        let (out, summaries) = decompose(m, &opts, &patterns);
+        let selected: Vec<_> = patterns.iter().map(|&p| (p, opts)).collect();
+        let (out, summaries, _) = decompose(m, &selected);
         assert_eq!(summaries.len(), patterns.len(), "every pattern decomposed");
         assert_equivalent(m, &out, 1e-9);
         // The asyncified form must stay equivalent too.
-        let asynced = asyncify(&out);
+        let (asynced, _) = asyncify(&out);
         assert_equivalent(m, &asynced, 1e-9);
     }
 }
@@ -240,11 +241,14 @@ fn fused_module_stays_equivalent() {
     // Fusion is a grouping annotation; it must not change values, with
     // either heuristic.
     let m = rs_module(4, false);
-    let patterns = find_patterns(&m);
-    let (out, _) = decompose(&m, &DecomposeOptions::default(), &patterns);
-    let asynced = asyncify(&out);
+    let selected: Vec<_> = find_patterns(&m, &ModuleAnalysis::of(&m))
+        .into_iter()
+        .map(|p| (p, DecomposeOptions::default()))
+        .collect();
+    let (out, _, _) = decompose(&m, &selected);
+    let (asynced, analysis) = asyncify(&out);
     for overlap_aware in [false, true] {
-        let fused = fuse(&asynced, &FusionOptions { overlap_aware });
+        let fused = fuse(&asynced, &analysis, &FusionOptions { overlap_aware });
         assert_equivalent(&m, &fused, 1e-9);
     }
 }
@@ -358,7 +362,6 @@ fn chained_patterns_decompose_together() {
     let w2 = b.all_gather(w2s, 0, ReplicaGroups::full(n), "w2");
     let y = b.einsum(h, w2, DotDims::matmul(), "y");
     let m = b.build(vec![y]);
-    let patterns = find_patterns(&m);
-    assert_eq!(patterns.len(), 2);
+    assert_eq!(find_patterns(&m, &ModuleAnalysis::of(&m)).len(), 2);
     check_all_variants(&m);
 }

@@ -2,11 +2,19 @@
 //! `{source, destination}` pairs of §5.1 and the shard-transfer schedules
 //! of Figs. 6, 7, 9 and 10, read directly off the emitted modules.
 
-use overlap::core::{decompose, find_patterns, DecomposeOptions};
-use overlap::hlo::{Builder, DType, DotDims, Module, Op, ReplicaGroups, Shape};
+use overlap::core::{decompose, find_patterns, DecomposeOptions, DecomposeSummary};
+use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, Op, ReplicaGroups, Shape};
 
 fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
+}
+
+/// Decomposes every pattern of `m` with `opts`.
+fn decompose_all(m: &Module, opts: &DecomposeOptions) -> (Module, Vec<DecomposeSummary>) {
+    let patterns = find_patterns(m, &ModuleAnalysis::of(m));
+    let selected: Vec<_> = patterns.into_iter().map(|p| (p, *opts)).collect();
+    let (out, summaries, _) = decompose(m, &selected);
+    (out, summaries)
 }
 
 fn ag_module(n: usize) -> Module {
@@ -45,7 +53,7 @@ fn unidirectional_pairs_match_section_5_1() {
     let expected = vec![(0, 3), (1, 0), (2, 1), (3, 2)];
 
     let ag = ag_module(n);
-    let (out, _) = decompose(&ag, &opts, &find_patterns(&ag));
+    let (out, _) = decompose_all(&ag, &opts);
     let cps = permute_pair_lists(&out);
     assert_eq!(cps.len(), n - 1, "Fig. 6: N-1 transfers for the AllGather case");
     for pairs in &cps {
@@ -53,11 +61,8 @@ fn unidirectional_pairs_match_section_5_1() {
     }
 
     let rs = rs_module(n);
-    let (out, _) = decompose(
-        &rs,
-        &DecomposeOptions { bidirectional: false, unroll: false, ..Default::default() },
-        &find_patterns(&rs),
-    );
+    let opts = DecomposeOptions { unroll: false, ..opts };
+    let (out, _) = decompose_all(&rs, &opts);
     let cps = permute_pair_lists(&out);
     assert_eq!(cps.len(), n, "Fig. 7: N transfers for the ReduceScatter case");
     for pairs in &cps {
@@ -71,7 +76,7 @@ fn unidirectional_pairs_match_section_5_1() {
 fn bidirectional_ag_matches_fig_9() {
     let n = 4;
     let ag = ag_module(n);
-    let (out, summaries) = decompose(&ag, &DecomposeOptions::default(), &find_patterns(&ag));
+    let (out, summaries) = decompose_all(&ag, &DecomposeOptions::default());
     assert!(summaries[0].bidirectional);
     let cps = permute_pair_lists(&out);
     let clockwise = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
@@ -90,7 +95,7 @@ fn bidirectional_ag_matches_fig_9() {
 fn bidirectional_rs_matches_fig_10() {
     let n = 4;
     let rs = rs_module(n);
-    let (out, summaries) = decompose(&rs, &DecomposeOptions::default(), &find_patterns(&rs));
+    let (out, summaries) = decompose_all(&rs, &DecomposeOptions::default());
     assert!(summaries[0].bidirectional);
     let cps = permute_pair_lists(&out);
     let clockwise = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
@@ -106,7 +111,7 @@ fn unrolled_rs_matches_fig_8() {
     let n = 4;
     let rs = rs_module(n);
     let opts = DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
-    let (out, _) = decompose(&rs, &opts, &find_patterns(&rs));
+    let (out, _) = decompose_all(&rs, &opts);
     let cps = permute_pair_lists(&out);
     let two_left = vec![(0u32, 2u32), (1, 3), (2, 0), (3, 1)];
     let one_right = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
@@ -126,7 +131,7 @@ fn ag_case_accounting_matches_fig_4() {
     for n in [2usize, 4, 8] {
         let ag = ag_module(n);
         let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
-        let (out, summaries) = decompose(&ag, &opts, &find_patterns(&ag));
+        let (out, summaries) = decompose_all(&ag, &opts);
         assert_eq!(summaries[0].partial_einsums, n);
         assert_eq!(
             out.count_live(|i| matches!(i.op(), Op::DynamicUpdateSlice)),

@@ -58,7 +58,7 @@ fn assert_equivalent(original: &Module, transformed: &Module) {
 #[test]
 fn split_is_numerically_exact() {
     let m = megatron_block(4, 8, 16, 32);
-    let split = split_all_reduces(&m);
+    let (split, _) = split_all_reduces(&m);
     split.verify().unwrap();
     assert_equivalent(&m, &split);
 }

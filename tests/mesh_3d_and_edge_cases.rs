@@ -6,13 +6,21 @@
 use overlap::core::{
     asyncify, decompose, find_patterns, DecomposeOptions, OverlapOptions, OverlapPipeline,
 };
-use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
+use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
 use overlap::sim::Simulation;
 
 fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
+}
+
+/// Decomposes every pattern of `m` with `opts` and splits the permutes
+/// into async start/done pairs.
+fn decompose_async(m: &Module, opts: DecomposeOptions) -> Module {
+    let patterns = find_patterns(m, &ModuleAnalysis::of(m));
+    let selected: Vec<_> = patterns.into_iter().map(|p| (p, opts)).collect();
+    asyncify(&decompose(m, &selected).0).0
 }
 
 fn assert_equivalent(original: &Module, transformed: &Module) {
@@ -61,12 +69,10 @@ fn three_d_torus_subgroup_rings() {
         let m = b.build(vec![e]);
         assert_eq!(m.shape_of(e).dims(), &[4, 2 * g]);
 
-        let patterns = find_patterns(&m);
-        assert_eq!(patterns.len(), 1);
+        assert_eq!(find_patterns(&m, &ModuleAnalysis::of(&m)).len(), 1);
         for bidirectional in [false, true] {
             let opts = DecomposeOptions { bidirectional, ..Default::default() };
-            let (out, _) = decompose(&m, &opts, &patterns);
-            assert_equivalent(&m, &asyncify(&out));
+            assert_equivalent(&m, &decompose_async(&m, opts));
         }
     }
 }
@@ -84,15 +90,13 @@ fn batched_einsum_reduce_scatter() {
     // Scatter the LHS free dim (output dim 1).
     let rs = b.reduce_scatter(e, 1, ReplicaGroups::full(n), "rs");
     let m = b.build(vec![rs]);
-    let patterns = find_patterns(&m);
-    assert_eq!(patterns.len(), 1);
+    assert_eq!(find_patterns(&m, &ModuleAnalysis::of(&m)).len(), 1);
     for opts in [
         DecomposeOptions { bidirectional: false, unroll: false, ..Default::default() },
         DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() },
         DecomposeOptions::default(),
     ] {
-        let (out, _) = decompose(&m, &opts, &patterns);
-        assert_equivalent(&m, &asyncify(&out));
+        assert_equivalent(&m, &decompose_async(&m, opts));
     }
 }
 
@@ -110,7 +114,7 @@ fn einsum_with_gather_and_scatter_through_pipeline() {
     let rs = b.reduce_scatter(e, 0, ReplicaGroups::full(n), "rs");
     let m = b.build(vec![rs]);
 
-    let patterns = find_patterns(&m);
+    let patterns = find_patterns(&m, &ModuleAnalysis::of(&m));
     assert_eq!(patterns.len(), 2, "AG candidate and RS candidate");
 
     let machine = Machine::with_mesh(DeviceMesh::ring(n));
@@ -141,8 +145,7 @@ fn decompose_preserves_unrelated_instructions() {
     let e = b.einsum(x, w, DotDims::matmul(), "e");
     let side = b.neg(x, "side_output");
     let m = b.build(vec![e, side]);
-    let patterns = find_patterns(&m);
-    let (out, _) = decompose(&m, &DecomposeOptions::default(), &patterns);
-    assert_equivalent(&m, &asyncify(&out));
+    let out = decompose_async(&m, DecomposeOptions::default());
+    assert_equivalent(&m, &out);
     assert_eq!(out.outputs().len(), 2);
 }

@@ -130,6 +130,7 @@ fn all_to_alls_are_preserved() {
 #[test]
 fn overlap_aware_fusion_not_slower() {
     use overlap::core::{fuse, FusionOptions};
+    use overlap::hlo::ModuleAnalysis;
     let cfg = small_config(8, Arch::Decoder, PartitionStrategy::TwoD);
     let module = cfg.layer_module();
     let machine = cfg.machine();
@@ -139,9 +140,11 @@ fn overlap_aware_fusion_not_slower() {
     ))
     .run(&module, &machine)
     .expect("pipeline");
+    let mut analysis = ModuleAnalysis::of(&compiled.module);
+    compiled.module.verify_incremental(&mut analysis).expect("compiled module verifies");
     let mut makespans = Vec::new();
     for aware in [true, false] {
-        let fused = fuse(&compiled.module, &FusionOptions { overlap_aware: aware });
+        let fused = fuse(&compiled.module, &analysis, &FusionOptions { overlap_aware: aware });
         let r = Simulation::new(&fused, &machine).order(&compiled.order).run().expect("simulate");
         makespans.push(r.makespan());
     }

@@ -1,15 +1,16 @@
 //! Properties of the shared `ModuleAnalysis` layer: the tables the
 //! builder maintains append-by-append (users, liveness, fusion) must be
 //! indistinguishable from a from-scratch recomputation after every pass
-//! of the pipeline, the value-numbering decompose must land on the exact
-//! module the decompose-then-CSE sequence produces, and the incremental
-//! verifier must accept exactly what the full verifier accepts.
+//! of the pipeline, and the incremental verifier must accept exactly what
+//! the full verifier accepts. (That the value-numbering decompose lands
+//! on the exact module decompose-then-CSE produces is a unit test of
+//! `overlap-core`'s decompose pass, which owns the unnumbered reference.)
 
 use overlap::core::{
-    asyncify_with, decompose_each, decompose_each_with, find_patterns_with, fuse_with,
-    split_all_reduces_with, CostModel, DecomposeOptions, OverlapOptions,
+    asyncify, decompose, find_patterns, fuse, split_all_reduces, CostModel, DecomposeOptions,
+    OverlapOptions,
 };
-use overlap::hlo::{eliminate_common_subexpressions_with, Module, ModuleAnalysis};
+use overlap::hlo::{Module, ModuleAnalysis};
 use overlap::mesh::{DeviceMesh, Machine};
 use overlap::models::table1_models;
 use overlap::sharding::mlp::{fig3_forward, MlpConfig};
@@ -34,15 +35,15 @@ fn check_pipeline_analyses(module: &Module, machine: &Machine, options: &Overlap
 
     // The reassociation pre-pass (identity rebuild on models without
     // all-reduces — the maintained tables must still be exact).
-    let (split, split_analysis) = split_all_reduces_with(module);
+    let (split, split_analysis) = split_all_reduces(module);
     assert_analysis_fresh(&split, &split_analysis, "split_all_reduces");
 
     let mut analysis = ModuleAnalysis::of(module);
     analysis.mark_verified(module);
-    let patterns = find_patterns_with(module, &analysis);
+    let patterns = find_patterns(module, &analysis);
     let table = CostTable::with_analysis(module, &analysis, machine).expect("cost table");
     let cost_model = CostModel::with_strategy(machine, &options.strategy);
-    let decisions = cost_model.select_with(&table, module, &patterns, true);
+    let decisions = cost_model.select(&table, module, &patterns, true);
     let selected: Vec<_> = decisions
         .iter()
         .map(|d| {
@@ -55,29 +56,16 @@ fn check_pipeline_analyses(module: &Module, machine: &Machine, options: &Overlap
         .collect();
 
     // Decompose: the value-numbering builder maintains the tables while
-    // merging duplicates at append time …
-    let (decomposed, _summaries, dec_analysis) = decompose_each_with(module, &selected);
+    // merging duplicates at append time.
+    let (decomposed, _summaries, dec_analysis) = decompose(module, &selected);
     assert_analysis_fresh(&decomposed, &dec_analysis, "decompose");
 
-    // … and must land on the bit-identical module the legacy
-    // decompose-then-CSE sequence produces, with the CSE pass's maintained
-    // analysis equally exact.
-    let (dec_legacy, _) = decompose_each(module, &selected);
-    let legacy_analysis = ModuleAnalysis::of(&dec_legacy);
-    let (merged, merged_analysis) =
-        eliminate_common_subexpressions_with(&dec_legacy, &legacy_analysis);
-    assert_analysis_fresh(&merged, &merged_analysis, "cse");
-    assert_eq!(
-        merged, decomposed,
-        "value-numbered decompose must equal decompose + CSE bit-for-bit"
-    );
-
-    let (asynced, mut analysis) = asyncify_with(&decomposed);
+    let (asynced, mut analysis) = asyncify(&decomposed);
     assert_analysis_fresh(&asynced, &analysis, "asyncify");
 
     let final_module = match options.fusion_options() {
         Some(fopts) => {
-            let fused = fuse_with(&asynced, &analysis, &fopts);
+            let fused = fuse(&asynced, &analysis, &fopts);
             analysis.refresh_fusion(&fused);
             assert_analysis_fresh(&fused, &analysis, "fuse");
             fused

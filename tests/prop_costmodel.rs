@@ -6,12 +6,10 @@
 //! compute, slower links must never make the predicted communication
 //! cheaper, and the `beneficial` bit must agree with `net_benefit()`.
 
-// The offline proptest stub expands `proptest!` to nothing, leaving the
-// helpers and imports below unused; with the real crate nothing is dead.
-#![allow(dead_code, unused_imports)]
 use overlap::core::{find_patterns, CostModel, DecomposeOptions};
-use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
+use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::Machine;
+use overlap::sim::CostTable;
 use proptest::prelude::*;
 
 /// AllGather→Einsum module: `x[m,k] · gather(w[k,f/n]) -> [m,f]`.
@@ -49,15 +47,12 @@ fn check_decisions(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let options = DecomposeOptions::default();
     let cm = CostModel::new(machine, options);
-    let patterns = find_patterns(module);
+    let table = CostTable::new(module, machine).expect("cost table");
+    let patterns = find_patterns(module, &ModuleAnalysis::of(module));
     prop_assert!(!patterns.is_empty());
 
-    // Slower links: half the bandwidth, same everything else.
-    let slow = machine.clone().with_link_bandwidth(machine.link_bandwidth() / 2.0);
-    let cm_slow = CostModel::new(&slow, options);
-
     for p in &patterns {
-        let d = cm.evaluate(module, p);
+        let d = cm.evaluate(&table, module, p);
         // All components are times; none may be negative.
         for (name, v) in [
             ("comp_t", d.comp_t),
@@ -78,27 +73,15 @@ fn check_decisions(
         );
         // The flag is exactly the sign of the net benefit.
         prop_assert_eq!(d.beneficial, d.net_benefit() >= 0.0);
-
-        // Halving the link bandwidth never cheapens predicted
-        // communication, for either the synchronous collective or the
-        // decomposed ring (evaluated at the same direction mode).
-        let s = cm_slow.evaluate_variant(module, p, d.bidirectional);
-        prop_assert!(s.comm_t >= d.comm_t * (1.0 - 1e-9));
-        prop_assert!(s.comm_t_ring >= d.comm_t_ring * (1.0 - 1e-9));
-        // Compute-side estimates do not depend on link bandwidth at all
-        // (only the interference term's cap can move, downward never).
-        prop_assert!(s.comp_t == d.comp_t);
-
-        // `evaluate` picks the better of the two direction modes.
-        let uni = cm.evaluate_variant(module, p, false);
-        let bidi = cm.evaluate_variant(module, p, true);
-        prop_assert!(d.net_benefit() >= uni.net_benefit() - 1e-15);
-        prop_assert!(d.net_benefit() >= bidi.net_benefit() - 1e-15);
+        // The per-direction-mode laws (slower links never cheapen
+        // communication; `evaluate` picks the better mode) need the
+        // crate-private variant evaluator: see
+        // `costgate::tests::variants_are_consistent_across_links_and_directions`.
     }
 
     // `select` keeps at most one decision per einsum, and with the gate
     // on, only beneficial ones.
-    let gated = cm.select(module, &patterns, true);
+    let gated = cm.select(&table, module, &patterns, true);
     let mut einsums: Vec<_> = gated.iter().map(|d| d.pattern.einsum).collect();
     einsums.sort_unstable();
     einsums.dedup();

@@ -2,11 +2,8 @@
 //! counts and option combinations, the looped collective-einsum must
 //! compute exactly what the original collective + einsum pair computed.
 
-// The offline proptest stub expands `proptest!` to nothing, leaving the
-// helpers and imports below unused; with the real crate nothing is dead.
-#![allow(dead_code, unused_imports)]
 use overlap::core::{asyncify, decompose, find_patterns, DecomposeOptions};
-use overlap::hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
+use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::numerics::{run_spmd, Literal};
 use proptest::prelude::*;
 
@@ -35,10 +32,11 @@ fn inputs_for(module: &Module, seed: u64) -> Vec<Vec<Literal>> {
 }
 
 fn check(module: &Module, opts: &DecomposeOptions, seed: u64) -> Result<(), TestCaseError> {
-    let patterns = find_patterns(module);
+    let patterns = find_patterns(module, &ModuleAnalysis::of(module));
     prop_assert!(!patterns.is_empty());
-    let (out, _) = decompose(module, opts, &patterns);
-    let asynced = asyncify(&out);
+    let selected: Vec<_> = patterns.into_iter().map(|p| (p, *opts)).collect();
+    let (out, _, _) = decompose(module, &selected);
+    let (asynced, _) = asyncify(&out);
     let inputs = inputs_for(module, seed);
     let expect = run_spmd(module, &inputs).expect("original");
     let got = run_spmd(&asynced, &inputs).expect("decomposed");

@@ -3,9 +3,6 @@
 //! decomposes) and the SPMD interpreter; outputs must match the original
 //! and the simulator must accept every schedule.
 
-// The offline proptest stub expands `proptest!` to nothing, leaving the
-// helpers and imports below unused; with the real crate nothing is dead.
-#![allow(dead_code, unused_imports)]
 use overlap::core::{OverlapOptions, OverlapPipeline, SchedulerKind};
 use overlap::hlo::Module;
 use overlap::mesh::{DeviceMesh, Machine};

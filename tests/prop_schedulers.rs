@@ -3,13 +3,7 @@
 //! error, never loses to the unscheduled order, and keeps peak memory
 //! within a constant factor of the baseline (the §5.2 liveness concern).
 
-// The offline proptest stub expands `proptest!` to nothing, leaving the
-// helpers and imports below unused; with the real crate nothing is dead.
-#![allow(dead_code, unused_imports)]
-use overlap::core::{
-    schedule_bottom_up, schedule_bottom_up_ctx, schedule_top_down, schedule_top_down_ctx,
-    ScheduleContext, ScheduleWindow,
-};
+use overlap::core::{schedule_bottom_up, schedule_top_down, ScheduleWindow};
 use overlap::hlo::{Builder, DType, DotDims, InstrId, LayerTags, Module, ModuleAnalysis, Shape};
 use overlap::mesh::{DeviceMesh, Machine};
 use overlap::sim::{memory_profile, CostTable, Simulation};
@@ -17,6 +11,79 @@ use proptest::prelude::*;
 
 fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
+}
+
+/// The bottom-up and top-down orders of `module` under `window`.
+fn both(module: &Module, machine: &Machine, window: Option<ScheduleWindow>) -> [Vec<InstrId>; 2] {
+    let table = CostTable::new(module, machine).expect("cost table");
+    let analysis = ModuleAnalysis::of(module);
+    [
+        schedule_bottom_up(&table, &analysis, module, machine, window.clone()),
+        schedule_top_down(&table, &analysis, module, machine, window),
+    ]
+}
+
+/// Both schedules of a random module are complete topological orders
+/// that simulate, conserve work, stay under the sound worst-case bound
+/// and keep peak memory within 2x of the input order.
+fn check_valid_and_no_worse(ops: Vec<u8>, seed: u64) -> Result<(), TestCaseError> {
+    let n = 4;
+    let module = random_module(n, ops, seed);
+    module.verify().expect("random module verifies");
+    let machine = Machine::with_mesh(DeviceMesh::ring(n));
+    let baseline = Simulation::new(&module, &machine).run().expect("baseline simulates");
+    // Both schedulers are heuristics tuned for the decomposition's
+    // loop structure; on adversarial random DAGs a regression versus
+    // the input order is possible. What always holds is the sound
+    // worst case: every transfer fully exposed and all overlapped
+    // compute paying the interference tax.
+    for schedule in both(&module, &machine, None) {
+        prop_assert_eq!(schedule.len(), module.len());
+        // The simulator validates completeness + topology.
+        let r = Simulation::new(&module, &machine).order(&schedule).run().expect("valid order");
+        let worst = (baseline.compute_time() + baseline.memory_time())
+            * (1.0 + machine.dma_interference())
+            + baseline.sync_comm_time()
+            + baseline.hidden_async_time()
+            + baseline.exposed_async_time()
+            + r.hidden_async_time()
+            + r.exposed_async_time();
+        prop_assert!(
+            r.makespan() <= worst + 1e-12,
+            "scheduled {:.4e} exceeds the sound bound {:.4e}",
+            r.makespan(),
+            worst
+        );
+        // Work is conserved.
+        prop_assert_eq!(r.total_flops(), baseline.total_flops());
+        // §5.2: liveness must not explode (allow 2x the input order).
+        let base_mem = memory_profile(&module, &module.arena_order());
+        let sched_mem = memory_profile(&module, &schedule);
+        prop_assert!(
+            sched_mem.peak_bytes <= base_mem.peak_bytes * 2,
+            "peak {} vs baseline {}",
+            sched_mem.peak_bytes,
+            base_mem.peak_bytes
+        );
+    }
+    Ok(())
+}
+
+/// Inputs that once failed [`check_valid_and_no_worse`], pinned so every
+/// run replays them before the random draws.
+#[test]
+fn schedules_are_valid_and_no_worse_on_recorded_inputs() {
+    let recorded: [(&[u8], u64); 4] = [
+        (&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0], 0),
+        (&[0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 4, 0, 3, 3, 0, 0, 4], 227_967),
+        (&[0, 0, 0, 0, 3, 0, 3, 3, 0, 0, 3, 0, 0, 3, 3, 0, 0], 0),
+        (&[3, 3, 0, 0, 0, 3, 3, 3, 0, 3, 3, 0, 2, 3], 146_245),
+    ];
+    for (ops, seed) in recorded {
+        if let Err(e) = check_valid_and_no_worse(ops.to_vec(), seed) {
+            panic!("ops = {ops:?}, seed = {seed}: {e}");
+        }
+    }
 }
 
 /// Builds a random module: a few parameters, then a mix of elementwise
@@ -186,48 +253,7 @@ proptest! {
         ops in prop::collection::vec(0u8..5, 4..40),
         seed in 0u64..1_000_000,
     ) {
-        let n = 4;
-        let module = random_module(n, ops, seed);
-        module.verify().expect("random module verifies");
-        let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let baseline = Simulation::new(&module, &machine).run().expect("baseline simulates");
-        // Both schedulers are heuristics tuned for the decomposition's
-        // loop structure; on adversarial random DAGs a regression versus
-        // the input order is possible. What always holds is the sound
-        // worst case: every transfer fully exposed and all overlapped
-        // compute paying the interference tax.
-        for schedule in [
-            schedule_bottom_up(&module, &machine),
-            schedule_top_down(&module, &machine),
-        ] {
-            prop_assert_eq!(schedule.len(), module.len());
-            // The simulator validates completeness + topology.
-            let r = Simulation::new(&module, &machine).order(&schedule).run().expect("valid order");
-            let worst = (baseline.compute_time() + baseline.memory_time())
-                * (1.0 + machine.dma_interference())
-                + baseline.sync_comm_time()
-                + baseline.hidden_async_time()
-                + baseline.exposed_async_time()
-                + r.hidden_async_time()
-                + r.exposed_async_time();
-            prop_assert!(
-                r.makespan() <= worst + 1e-12,
-                "scheduled {:.4e} exceeds the sound bound {:.4e}",
-                r.makespan(),
-                worst
-            );
-            // Work is conserved.
-            prop_assert_eq!(r.total_flops(), baseline.total_flops());
-            // §5.2: liveness must not explode (allow 2x the input order).
-            let base_mem = memory_profile(&module, &module.arena_order());
-            let sched_mem = memory_profile(&module, &schedule);
-            prop_assert!(
-                sched_mem.peak_bytes <= base_mem.peak_bytes * 2,
-                "peak {} vs baseline {}",
-                sched_mem.peak_bytes,
-                base_mem.peak_bytes
-            );
-        }
+        check_valid_and_no_worse(ops, seed)?;
     }
 
     /// The in-flight async budget is respected by construction in the
@@ -243,7 +269,7 @@ proptest! {
         let module = random_module(n, ops, seed);
         let machine =
             Machine::with_mesh(DeviceMesh::ring(n)).with_max_inflight_async(budget);
-        let order = schedule_top_down(&module, &machine);
+        let [_, order] = both(&module, &machine, None);
         let mut inflight = 0usize;
         let mut max_seen = 0usize;
         for id in order {
@@ -282,17 +308,9 @@ proptest! {
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let tags = LayerTags::of(&module);
         prop_assert!(ScheduleWindow::new(&tags, window).is_none());
-        let table = CostTable::new(&module, &machine).expect("cost table");
-        let analysis = ModuleAnalysis::of(&module);
-        let ctx = ScheduleContext::new(&table, &analysis, &module, &machine)
-            .with_window(ScheduleWindow::new(&tags, window));
         prop_assert_eq!(
-            schedule_bottom_up_ctx(&ctx, &module, &machine),
-            schedule_bottom_up(&module, &machine)
-        );
-        prop_assert_eq!(
-            schedule_top_down_ctx(&ctx, &module, &machine),
-            schedule_top_down(&module, &machine)
+            both(&module, &machine, ScheduleWindow::new(&tags, window)),
+            both(&module, &machine, None)
         );
     }
 
@@ -313,13 +331,8 @@ proptest! {
         module.verify().expect("layered module verifies");
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
         let tags = LayerTags::of(&module);
-        let table = CostTable::new(&module, &machine).expect("cost table");
-        let analysis = ModuleAnalysis::of(&module);
         let baseline = Simulation::new(&module, &machine).run().expect("baseline simulates");
-        let ctx = ScheduleContext::new(&table, &analysis, &module, &machine)
-            .with_window(ScheduleWindow::new(&tags, window));
-        let bu = schedule_bottom_up_ctx(&ctx, &module, &machine);
-        let td = schedule_top_down_ctx(&ctx, &module, &machine);
+        let [bu, td] = both(&module, &machine, ScheduleWindow::new(&tags, window));
         for order in [&bu, &td] {
             prop_assert_eq!(order.len(), module.len());
             // The simulator validates completeness + topology.
@@ -332,8 +345,7 @@ proptest! {
         } else {
             // Too-wide windows are inert by construction.
             prop_assert!(ScheduleWindow::new(&tags, window).is_none());
-            prop_assert_eq!(bu, schedule_bottom_up(&module, &machine));
-            prop_assert_eq!(td, schedule_top_down(&module, &machine));
+            prop_assert_eq!([bu, td], both(&module, &machine, None));
         }
     }
 }

@@ -15,11 +15,6 @@
 //!    (fingerprint-level dedup), and a shutdown request must drain
 //!    gracefully.
 
-// The offline proptest stub expands `proptest!` to nothing, leaving
-// the fuzz helpers and imports below unused; with the real crate
-// nothing is dead.
-#![allow(dead_code, unused_imports)]
-
 use overlap_core::{ArtifactCache, OverlapOptions, OverlapPipeline};
 use proptest::prelude::*;
 use overlap_hlo::{Builder, DType, DotDims, Module, ReplicaGroups, Shape};
