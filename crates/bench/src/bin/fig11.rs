@@ -51,7 +51,8 @@ fn main() {
         let mut analysis = ModuleAnalysis::of(&module);
         or_exit(module.verify_incremental(&mut analysis), "verify the Fig. 11 graph");
         let time_with = |aware: bool| {
-            let fused = fuse(&module, &analysis, &FusionOptions { overlap_aware: aware });
+            let fused =
+                fuse(module.clone(), &analysis, &FusionOptions { overlap_aware: aware });
             let table = or_exit(CostTable::new(&fused, &machine), "cost the fused graph");
             let order = schedule_bottom_up(&table, &analysis, &fused, &machine, None);
             let sim = Simulation::new(&fused, &machine).order(&order);

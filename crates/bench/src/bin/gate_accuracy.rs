@@ -25,8 +25,7 @@
 
 use overlap_bench::{or_exit, write_json};
 use overlap_core::{
-    asyncify, decompose, find_patterns, fuse, schedule_bottom_up, CostModel, DecomposeOptions,
-    FusionOptions,
+    decompose, find_patterns, fuse, schedule_bottom_up, CostModel, DecomposeOptions, FusionOptions,
 };
 use overlap_hlo::{
     Builder, DType, DotDims, Module, ModuleAnalysis, Op, ReplicaGroups, Shape, WireFormat,
@@ -158,7 +157,7 @@ fn quant_rows(wire: WireFormat) -> Vec<QuantRow> {
             .map(|p| (p, opts))
             .collect();
         let (ring, _, _) = decompose(&module, &selected);
-        let got = run_spmd(&asyncify(&ring).0, &inputs).expect("quantized ring");
+        let got = run_spmd(&ring, &inputs).expect("quantized ring");
         rows.push(QuantRow {
             case: case_ring,
             wire: wire.describe(),
@@ -212,9 +211,8 @@ fn main() {
     for d in &decisions {
         // Decompose only this pattern, with its chosen direction mode.
         let opts = DecomposeOptions { bidirectional: d.bidirectional, ..options };
-        let (out, _, _) = decompose(&module, &[(d.pattern, opts)]);
-        let (asynced, analysis) = asyncify(&out);
-        let fused = fuse(&asynced, &analysis, &FusionOptions::default());
+        let (out, _, analysis) = decompose(&module, &[(d.pattern, opts)]);
+        let fused = fuse(out, &analysis, &FusionOptions::default());
         let table = or_exit(CostTable::new(&fused, &machine), "cost the single-pattern rewrite");
         let order = schedule_bottom_up(&table, &analysis, &fused, &machine, None);
         let measured = match Simulation::new(&fused, &machine).order(&order).run() {

@@ -23,7 +23,7 @@ use overlap_bench::{
     sweep_threads, write_json,
 };
 use overlap_core::{
-    artifact_key, asyncify, decompose, find_patterns, fuse, schedule_bottom_up, ArtifactCache,
+    artifact_key, decompose, find_patterns, fuse, schedule_bottom_up, ArtifactCache,
     CostModel, DecomposeOptions, OverlapOptions, OverlapPipeline, PhaseTimings, StrategySpec,
 };
 use overlap_hlo::{
@@ -918,14 +918,13 @@ fn legacy_compile(
         })
         .collect();
     let (decomposed, _summaries, _) = decompose(module, &selected);
-    let (asynced, _) = asyncify(&decomposed);
     let final_module = match options.fusion_options() {
         Some(fopts) => {
-            let mut analysis = ModuleAnalysis::of(&asynced);
-            asynced.verify_incremental(&mut analysis).expect("verified fusion input");
-            fuse(&asynced, &analysis, &fopts)
+            let mut analysis = ModuleAnalysis::of(&decomposed);
+            decomposed.verify_incremental(&mut analysis).expect("verified fusion input");
+            fuse(decomposed, &analysis, &fopts)
         }
-        None => asynced,
+        None => decomposed,
     };
     final_module.verify().expect("verified output");
     let table = CostTable::new(&final_module, machine).expect("cost table");

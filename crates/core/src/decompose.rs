@@ -5,8 +5,9 @@
 //! replaced with the fully unrolled iteration sequence of the paper's
 //! generated loop: per iteration, one partial einsum over the data shard
 //! currently held, a `DynamicUpdateSlice`/`Add` combining step, and a
-//! single-hop `CollectivePermute` circulating shards (AllGather case) or
-//! accumulators (ReduceScatter case) around the partition ring.
+//! single-hop collective permute circulating shards (AllGather case) or
+//! accumulators (ReduceScatter case) around the partition ring, emitted
+//! as the §5.2 async `CollectivePermuteStart`/`Done` pair.
 //!
 //! Emitting the unrolled form (instead of a rolled `While` loop) is
 //! behaviour-preserving — XLA itself schedules straight-line per-iteration
@@ -20,6 +21,8 @@
 //! *bidirectional transfer* of §5.4.2 circulates two half-sets of shards
 //! in opposite ring directions with a prologue (AllGather) or epilogue
 //! (ReduceScatter) shift, doubling usable link bandwidth.
+
+use std::sync::Arc;
 
 use overlap_hlo::{
     Builder, DType, InstrId, Module, ModuleAnalysis, Op, PadDim, ReplicaGroups, Shape,
@@ -137,7 +140,8 @@ pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 /// Patterns must come from [`find_patterns`](crate::find_patterns) on this
 /// very module and reference disjoint instructions (at most one pattern
 /// per einsum; the pipeline's cost gate guarantees this). All other
-/// instructions are copied unchanged.
+/// instructions are copied unchanged, except that a synchronous
+/// `CollectivePermute` is split into its start/done pair too.
 ///
 /// Returns the transformed module, a per-pattern summary and the
 /// module's [`ModuleAnalysis`], maintained append-by-append while the
@@ -193,6 +197,7 @@ fn decompose_impl(
     }
     let mut map: Vec<Option<InstrId>> = vec![None; module.len()];
     let mut summaries = Vec::new();
+    let mut ring = RingPairs::default();
 
     // Index patterns by the instruction at which we emit the loop: the
     // einsum for AllGather patterns, the ReduceScatter for RS patterns.
@@ -217,7 +222,8 @@ fn decompose_impl(
             continue;
         }
         if let Some((pattern, options)) = emit_at[id.index()] {
-            let (result, summary) = emit_pattern(&mut b, module, pattern, options, &map);
+            let (result, summary) =
+                emit_pattern(&mut b, &mut ring, module, pattern, options, &map);
             map[id.index()] = Some(result);
             summaries.push(summary);
             continue;
@@ -227,7 +233,16 @@ fn decompose_impl(
             .iter()
             .map(|o| map[o.index()].expect("operands precede users"))
             .collect();
-        map[id.index()] = Some(b.copy_of(module, id, operands));
+        map[id.index()] = Some(match ins.op() {
+            Op::CollectivePermute { pairs, wire } => {
+                b.set_tag(ins.tag());
+                let done =
+                    b.collective_permute_async(operands[0], Arc::clone(pairs), *wire, ins.name());
+                b.set_tag(None);
+                done
+            }
+            _ => b.copy_of(module, id, operands),
+        });
     }
 
     let outputs = module
@@ -237,6 +252,24 @@ fn decompose_impl(
         .collect();
     let (rewritten, analysis) = b.build_with_analysis(outputs);
     (rewritten, summaries, analysis)
+}
+
+type Pairs = Arc<[(u32, u32)]>;
+
+/// One pair list per (replica groups, ring step) for the whole call: §5.1
+/// builds every step from the same pairs, so the permutes share an `Arc`.
+#[derive(Default)]
+struct RingPairs(Vec<(ReplicaGroups, i64, Pairs)>);
+
+impl RingPairs {
+    fn get(&mut self, groups: &ReplicaGroups, step: i64) -> Pairs {
+        if let Some((_, _, pairs)) = self.0.iter().find(|(g, s, _)| *s == step && g == groups) {
+            return Arc::clone(pairs);
+        }
+        let pairs: Pairs = shift_pairs(groups, step).into();
+        self.0.push((groups.clone(), step, Arc::clone(&pairs)));
+        pairs
+    }
 }
 
 /// Per-pattern loop emission context: group bookkeeping plus the scalar
@@ -253,9 +286,13 @@ struct LoopCtx {
 
 impl LoopCtx {
     fn new(b: &mut Builder, groups: &ReplicaGroups, num_partitions: usize) -> Self {
-        let table_vals: Vec<f64> = (0..num_partitions as u32)
-            .map(|pid| groups.rank_in_group(pid).expect("groups cover all partitions") as f64)
-            .collect();
+        // Verified groups cover every partition exactly once.
+        let mut table_vals = vec![0.0; num_partitions];
+        for group in groups.groups() {
+            for (rank, &pid) in group.iter().enumerate() {
+                table_vals[pid as usize] = rank as f64;
+            }
+        }
         let table = b.constant_tensor(
             Shape::new(DType::U32, vec![num_partitions]),
             table_vals,
@@ -293,8 +330,31 @@ impl LoopCtx {
     }
 }
 
+/// One ring step: the async permute of `value` (§5.2) and, in the rolled
+/// loop, the loop-carried aliasing copy XLA inserts (§5.4.1).
+fn ring_step(
+    b: &mut Builder,
+    value: InstrId,
+    pairs: &Pairs,
+    options: &DecomposeOptions,
+    name: &str,
+    permutes: &mut usize,
+) -> InstrId {
+    b.set_tag(Some(LCE_CP_TAG));
+    let sent =
+        b.collective_permute_async(value, Arc::clone(pairs), options.wire, &format!("{name}.cp"));
+    *permutes += 1;
+    b.set_tag(Some(LCE_TAG));
+    if options.unroll {
+        sent
+    } else {
+        b.copy(sent, &format!("{name}.loop_copy"))
+    }
+}
+
 fn emit_pattern(
     b: &mut Builder,
+    ring: &mut RingPairs,
     module: &Module,
     pattern: &Pattern,
     options: &DecomposeOptions,
@@ -303,10 +363,10 @@ fn emit_pattern(
     b.set_tag(Some(LCE_TAG));
     let result = match pattern.kind {
         PatternKind::AllGatherEinsum { gathered_is_lhs, case } => {
-            emit_ag_einsum(b, module, pattern, gathered_is_lhs, case, options, map)
+            emit_ag_einsum(b, ring, module, pattern, gathered_is_lhs, case, options, map)
         }
         PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim } => {
-            emit_einsum_rs(b, module, pattern, sliced_is_lhs, sliced_dim, options, map)
+            emit_einsum_rs(b, ring, module, pattern, sliced_is_lhs, sliced_dim, options, map)
         }
     };
     b.set_tag(None);
@@ -445,9 +505,10 @@ fn ag_geometry(
     AgGeometry { gather_dim, shard, other_dim, out_dim }
 }
 
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn emit_ag_einsum(
     b: &mut Builder,
+    ring: &mut RingPairs,
     module: &Module,
     pattern: &Pattern,
     gathered_is_lhs: bool,
@@ -537,22 +598,8 @@ fn emit_ag_einsum(
         combined
     };
 
-    let cp = |b: &mut Builder, value: InstrId, step: i64, permutes: &mut usize| -> InstrId {
-        b.set_tag(Some(LCE_CP_TAG));
-        let sent = b.collective_permute_wire(
-            value,
-            shift_pairs(&groups, step),
-            options.wire,
-            &format!("{name}.cp"),
-        );
-        *permutes += 1;
-        b.set_tag(Some(LCE_TAG));
-        if options.unroll {
-            sent
-        } else {
-            // Loop-carried aliasing copy of the rolled loop (§5.4.1).
-            b.copy(sent, &format!("{name}.loop_copy"))
-        }
+    let cp = |b: &mut Builder, value: InstrId, pairs: &Pairs, permutes: &mut usize| {
+        ring_step(b, value, pairs, options, &name, permutes)
     };
 
     let mut result = b.zeros(out_shape.clone(), &format!("{name}.init"));
@@ -561,12 +608,13 @@ fn emit_ag_einsum(
     // identical to `out_shape` in all cases.
 
     if !bidi && chunk == 1 {
+        let back = ring.get(&groups, -1);
         let mut looped = looped0;
         for i in 0..g {
             let partial = emit_partial(b, looped, i as i64);
             partials += 1;
             if i + 1 < g {
-                looped = cp(b, looped, -1, &mut permutes);
+                looped = cp(b, looped, &back, &mut permutes);
             }
             result = combine(b, &ctx, result, partial, i as i64);
         }
@@ -576,12 +624,13 @@ fn emit_ag_einsum(
         // arrivals are joined into one wide partial einsum — g/chunk
         // partials of `chunk` shards each, trading per-kernel launch
         // overhead for coarser overlap granularity.
+        let back = ring.get(&groups, -1);
         let mut looped = looped0;
         let mut window: Vec<InstrId> = Vec::with_capacity(chunk);
         for i in 0..g {
             window.push(looped);
             if i + 1 < g {
-                looped = cp(b, looped, -1, &mut permutes);
+                looped = cp(b, looped, &back, &mut permutes);
             }
             if window.len() < chunk {
                 continue;
@@ -641,8 +690,9 @@ fn emit_ag_einsum(
         // {rank, rank-1}, then the two sets circulate in opposite
         // directions.
         let m = g / 2;
+        let (back, fwd) = (ring.get(&groups, -1), ring.get(&groups, 1));
         let mut left = looped0;
-        let mut right = cp(b, looped0, 1, &mut permutes);
+        let mut right = cp(b, looped0, &fwd, &mut permutes);
         for t in 0..m {
             let (dl, dr) = (t as i64, -1 - t as i64);
             if case == AgCase::Contracting {
@@ -702,8 +752,8 @@ fn emit_ag_einsum(
                 result = combine(b, &ctx, result, pr, dr);
             }
             if t + 1 < m {
-                left = cp(b, left, -1, &mut permutes);
-                right = cp(b, right, 1, &mut permutes);
+                left = cp(b, left, &back, &mut permutes);
+                right = cp(b, right, &fwd, &mut permutes);
             }
         }
     }
@@ -723,9 +773,10 @@ fn emit_ag_einsum(
     (result, summary)
 }
 
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn emit_einsum_rs(
     b: &mut Builder,
+    ring: &mut RingPairs,
     module: &Module,
     pattern: &Pattern,
     sliced_is_lhs: bool,
@@ -789,21 +840,8 @@ fn emit_einsum_rs(
         partial
     };
 
-    let cp = |b: &mut Builder, value: InstrId, step: i64, permutes: &mut usize| -> InstrId {
-        b.set_tag(Some(LCE_CP_TAG));
-        let sent = b.collective_permute_wire(
-            value,
-            shift_pairs(&groups, step),
-            options.wire,
-            &format!("{name}.cp"),
-        );
-        *permutes += 1;
-        b.set_tag(Some(LCE_TAG));
-        if options.unroll {
-            sent
-        } else {
-            b.copy(sent, &format!("{name}.loop_copy"))
-        }
+    let cp = |b: &mut Builder, value: InstrId, pairs: &Pairs, permutes: &mut usize| {
+        ring_step(b, value, pairs, options, &name, permutes)
     };
 
     let acc_add = |b: &mut Builder, acc: InstrId, partial: InstrId| -> InstrId {
@@ -817,6 +855,7 @@ fn emit_einsum_rs(
         // Two accumulators travel in opposite directions (§5.4.2, Fig. 10);
         // the clockwise one is shifted once more in the epilogue and added.
         let m = g / 2;
+        let (back, fwd) = (ring.get(&groups, -1), ring.get(&groups, 1));
         let mut acc_l = b.zeros(shard_shape.clone(), &format!("{name}.init_l"));
         let mut acc_r = b.zeros(shard_shape.clone(), &format!("{name}.init_r"));
         for t in 0..m {
@@ -825,13 +864,13 @@ fn emit_einsum_rs(
             let pl = emit_partial(b, dl);
             let pr = emit_partial(b, dr);
             if t > 0 {
-                acc_l = cp(b, acc_l, -1, &mut permutes);
-                acc_r = cp(b, acc_r, 1, &mut permutes);
+                acc_l = cp(b, acc_l, &back, &mut permutes);
+                acc_r = cp(b, acc_r, &fwd, &mut permutes);
             }
             acc_l = acc_add(b, acc_l, pl);
             acc_r = acc_add(b, acc_r, pr);
         }
-        let aligned = cp(b, acc_r, 1, &mut permutes);
+        let aligned = cp(b, acc_r, &fwd, &mut permutes);
         acc_add(b, acc_l, aligned)
     } else if two_chain {
         // Unrolled two-chain form (§5.4.1, Fig. 8): chain A accumulates
@@ -839,6 +878,7 @@ fn emit_einsum_rs(
         // ring positions between contributions; the epilogue aligns chain
         // B with a single forward hop.
         let m = g / 2;
+        let (back2, fwd) = (ring.get(&groups, -2), ring.get(&groups, 1));
         let mut acc_a = b.zeros(shard_shape.clone(), &format!("{name}.init_a"));
         let mut acc_b = b.zeros(shard_shape.clone(), &format!("{name}.init_b"));
         for j in 0..m {
@@ -847,21 +887,22 @@ fn emit_einsum_rs(
             let pa = emit_partial(b, da);
             let pb = emit_partial(b, db);
             if j > 0 {
-                acc_a = cp(b, acc_a, -2, &mut permutes);
-                acc_b = cp(b, acc_b, -2, &mut permutes);
+                acc_a = cp(b, acc_a, &back2, &mut permutes);
+                acc_b = cp(b, acc_b, &back2, &mut permutes);
             }
             acc_a = acc_add(b, acc_a, pa);
             acc_b = acc_add(b, acc_b, pb);
         }
-        let aligned = cp(b, acc_b, 1, &mut permutes);
+        let aligned = cp(b, acc_b, &fwd, &mut permutes);
         acc_add(b, acc_a, aligned)
     } else {
         // Single chain (Algorithm 1): the accumulator is transferred at
         // the start of every iteration and the partial added on arrival.
+        let back = ring.get(&groups, -1);
         let mut acc = b.zeros(shard_shape.clone(), &format!("{name}.init"));
         for i in 0..g {
             let partial = emit_partial(b, i as i64 + 1);
-            acc = cp(b, acc, -1, &mut permutes);
+            acc = cp(b, acc, &back, &mut permutes);
             acc = acc_add(b, acc, partial);
         }
         acc
@@ -935,7 +976,7 @@ mod tests {
         // The original collective is gone.
         assert_eq!(out.count_live(|i| matches!(i.op(), Op::AllGather { .. })), 0);
         assert_eq!(
-            out.count_live(|i| matches!(i.op(), Op::CollectivePermute { .. })),
+            out.count_live(|i| matches!(i.op(), Op::CollectivePermuteStart { .. })),
             3
         );
         // Output shape preserved.
@@ -1121,6 +1162,46 @@ mod tests {
             out.count_live(|i| matches!(i.op(), Op::AllGather { .. })),
             m.count_live(|i| matches!(i.op(), Op::AllGather { .. }))
         );
+    }
+
+    #[test]
+    fn sync_permutes_in_the_input_become_start_done_pairs() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        b.set_tag(Some("user.cp"));
+        let p = b.collective_permute(x, vec![(0, 1), (1, 0)], "p");
+        b.set_tag(None);
+        let c = b.copy(p, "c");
+        let m = b.build(vec![c]);
+
+        let (out, summaries, mut analysis) = decompose(&m, &[]);
+        assert!(summaries.is_empty());
+        out.verify_incremental(&mut analysis).unwrap();
+        assert_eq!(out.count_live(|i| matches!(i.op(), Op::CollectivePermute { .. })), 0);
+        let names: Vec<(&str, Option<&str>)> =
+            out.iter().map(|(_, i)| (i.name(), i.tag())).collect();
+        assert_eq!(
+            names,
+            [("x", None), ("p", Some("user.cp")), ("p.done", Some("user.cp")), ("c", None)]
+        );
+        assert!(matches!(out.instr(out.outputs()[0]).op(), Op::Copy));
+    }
+
+    #[test]
+    fn ring_steps_share_one_pair_list() {
+        let m = ag_module(4);
+        let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
+        let (out, _) = decompose_all(&m, &opts);
+        let lists: Vec<&Arc<[(u32, u32)]>> = out
+            .iter()
+            .filter_map(|(_, i)| match i.op() {
+                Op::CollectivePermuteStart { pairs, .. } => Some(pairs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lists.len(), 3);
+        assert!(lists.iter().all(|l| Arc::ptr_eq(l, lists[0])));
+        assert_eq!(&lists[0][..], &shift_pairs(&ReplicaGroups::full(4), -1)[..]);
     }
 
     /// The value-numbered rewrite lands on exactly the module — names and

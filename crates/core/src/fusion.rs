@@ -7,8 +7,6 @@
 //! fusing a result-update `Add` with the *wrong* einsum makes an
 //! otherwise-independent einsum wait for a `CollectivePermuteDone`.
 
-use std::collections::HashMap;
-
 use overlap_hlo::{FusionGroup, InstrId, Module, ModuleAnalysis, Op};
 
 /// Options for the fusion pass.
@@ -69,7 +67,8 @@ fn depends_on_done(module: &Module, id: InstrId) -> bool {
 /// `DynamicUpdateSlice`) is fused with one producer einsum chosen by the
 /// heuristic in [`FusionOptions`].
 ///
-/// Returns the same module with fusion groups attached. The users table
+/// Consumes `module` and returns it with fusion groups attached (callers
+/// that must keep the unfused module pass a clone). The users table
 /// comes from `analysis`, whose verified watermark must cover `module`
 /// (the caller vouches for verification); the caller should
 /// [`refresh_fusion`](ModuleAnalysis::refresh_fusion) its analysis on the
@@ -79,19 +78,24 @@ fn depends_on_done(module: &Module, id: InstrId) -> bool {
 ///
 /// Panics if `analysis` does not cover and verify `module`.
 #[must_use]
-pub fn fuse(module: &Module, analysis: &ModuleAnalysis, options: &FusionOptions) -> Module {
+pub fn fuse(module: Module, analysis: &ModuleAnalysis, options: &FusionOptions) -> Module {
     assert_eq!(analysis.len(), module.len(), "analysis does not cover module");
     assert_eq!(
         analysis.verified_len(),
         module.len(),
         "fusion requires a verified module"
     );
-    fuse_impl(module, analysis.users(), options)
+    let groups = fusion_groups(&module, analysis.users(), options);
+    module.with_fusion_groups(groups).expect("constructed groups are well-formed")
 }
 
-fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -> Module {
+fn fusion_groups(
+    module: &Module,
+    users: &[Vec<InstrId>],
+    options: &FusionOptions,
+) -> Vec<FusionGroup> {
     let single_user = |id: InstrId| users[id.index()].len() == 1;
-    let mut group_of: HashMap<InstrId, usize> = HashMap::new();
+    let mut group_of: Vec<Option<usize>> = vec![None; module.len()];
     let mut groups: Vec<FusionGroup> = Vec::new();
 
     // Pass 1: give every einsum a group seeded with its cheap, single-use
@@ -111,14 +115,14 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
                 Op::Binary(overlap_hlo::BinaryKind::Max)
                     | Op::Binary(overlap_hlo::BinaryKind::Mul)
             );
-            if cheap && single_user(op) && !group_of.contains_key(&op) {
+            if cheap && single_user(op) && group_of[op.index()].is_none() {
                 // Also absorb the producer's own cheap single-use inputs
                 // (the padded halves of a Max(PadLow, PadHigh) join).
                 for &op2 in module.instr(op).operands() {
                     let o2 = module.instr(op2).op();
                     if matches!(o2, Op::Pad { .. } | Op::DynamicSlice { .. })
                         && single_user(op2)
-                        && !group_of.contains_key(&op2)
+                        && group_of[op2.index()].is_none()
                     {
                         members.push(op2);
                     }
@@ -129,7 +133,7 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
         members.push(id);
         let gi = groups.len();
         for &m in &members {
-            group_of.insert(m, gi);
+            group_of[m.index()] = Some(gi);
         }
         groups.push(FusionGroup { members, root: id });
     }
@@ -152,12 +156,12 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
         if !matches!(ins.op(), Op::Einsum(_)) {
             continue;
         }
-        let gi = group_of[&id];
+        let gi = group_of[id.index()].expect("every einsum seeded a group");
         if groups[gi].root != id {
             continue;
         }
         let eusers = &users[id.index()];
-        if eusers.len() == 1 && combining(eusers[0]) && !group_of.contains_key(&eusers[0]) {
+        if eusers.len() == 1 && combining(eusers[0]) && group_of[eusers[0].index()].is_none() {
             // Shape (a): possibly competing with another producer einsum.
             let c = eusers[0];
             let candidates: Vec<InstrId> = module
@@ -168,7 +172,7 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
                 .filter(|&op| {
                     matches!(module.instr(op).op(), Op::Einsum(_))
                         && single_user(op)
-                        && group_of.get(&op).is_some_and(|&g| groups[g].root == op)
+                        && group_of[op.index()].is_some_and(|g| groups[g].root == op)
                 })
                 .collect();
             let chosen = if options.overlap_aware {
@@ -186,14 +190,14 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
             if chosen == id {
                 groups[gi].members.push(c);
                 groups[gi].root = c;
-                group_of.insert(c, gi);
+                group_of[c.index()] = Some(gi);
             }
         } else if eusers.len() == 2 {
             // Shape (b): the bidirectional split-and-update.
             let both_slices = eusers.iter().all(|&u| {
                 matches!(module.instr(u).op(), Op::Slice { .. })
                     && single_user(u)
-                    && !group_of.contains_key(&u)
+                    && group_of[u.index()].is_none()
             });
             if !both_slices {
                 continue;
@@ -203,7 +207,7 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
             if c1 == c2 || !combining(c1) || !combining(c2) {
                 continue;
             }
-            if group_of.contains_key(&c1) || group_of.contains_key(&c2) {
+            if group_of[c1.index()].is_some() || group_of[c2.index()].is_some() {
                 continue;
             }
             // The later combining op must chain on the earlier one.
@@ -215,7 +219,7 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
             }
             for &m in &[eusers[0], eusers[1], first, second] {
                 groups[gi].members.push(m);
-                group_of.insert(m, gi);
+                group_of[m.index()] = Some(gi);
             }
             groups[gi].root = second;
         }
@@ -224,12 +228,8 @@ fn fuse_impl(module: &Module, users: &[Vec<InstrId>], options: &FusionOptions) -
     // Drop singleton groups: a one-member "fusion" is the instruction
     // itself, but executing it as a group would pay a second kernel
     // launch for nothing.
-    let groups: Vec<FusionGroup> = groups.into_iter().filter(|g| g.members.len() > 1).collect();
-
-    module
-        .clone()
-        .with_fusion_groups(groups)
-        .expect("constructed groups are well-formed")
+    groups.retain(|g| g.members.len() > 1);
+    groups
 }
 
 #[cfg(test)]
@@ -245,7 +245,7 @@ mod tests {
     fn fuse_verified(m: &Module, options: &FusionOptions) -> Module {
         let mut analysis = ModuleAnalysis::of(m);
         m.verify_incremental(&mut analysis).unwrap();
-        fuse(m, &analysis, options)
+        fuse(m.clone(), &analysis, options)
     }
 
     /// The Fig. 11 shape: Add(einsum_0, einsum_1) where einsum_1 consumes

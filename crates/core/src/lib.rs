@@ -11,11 +11,11 @@
 //!   1–3 of §5.1 (free / contracting / batch partitioned dimension),
 //! * [`decompose`] — the **looped collective-einsum** rewrite
 //!   (Algorithm 1): each selected pair becomes a sequence of partial
-//!   einsums and single-hop `CollectivePermute`s, with the loop-unrolling
+//!   einsums and single-hop collective permutes, with the loop-unrolling
 //!   (§5.4.1, two interleaved accumulation chains) and bidirectional
-//!   transfer (§5.4.2, prologue/epilogue shifts) optimizations,
-//! * [`asyncify`] — splits each emitted `CollectivePermute` into the
-//!   non-blocking `CollectivePermuteStart`/`Done` pair (§5.2),
+//!   transfer (§5.4.2, prologue/epilogue shifts) optimizations; every
+//!   permute (emitted or copied from the input) comes out as the
+//!   non-blocking `CollectivePermuteStart`/`Done` pair of §5.2,
 //! * [`schedule_bottom_up`] (Algorithm 2) and [`schedule_top_down`] —
 //!   the two latency-hiding instruction schedulers of §5.2,
 //! * [`fuse`] — the fusion pass with the overlap-aware heuristic of
@@ -48,7 +48,7 @@
 //! Each pass has exactly one public entry point — the form
 //! [`OverlapPipeline::run`] calls. The read-only passes borrow a
 //! [`ModuleAnalysis`](overlap_hlo::ModuleAnalysis), the rebuilding ones
-//! ([`split_all_reduces`], [`decompose`], [`asyncify`]) return the
+//! ([`split_all_reduces`], [`decompose`]) return the
 //! analysis of their output, and the schedulers and the cost gate read
 //! one [`CostTable`](overlap_sim::CostTable). Outside the pipeline, build
 //! those inputs with `ModuleAnalysis::of` and `CostTable::new`.
@@ -60,7 +60,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-mod asyncify;
 mod cache;
 mod costgate;
 mod decompose;
@@ -74,7 +73,6 @@ mod report;
 mod schedule;
 mod strategy;
 
-pub use asyncify::asyncify;
 pub use cache::{artifact_key, artifact_key_faulted, ArtifactCache, CacheOutcome, CacheStats};
 pub use costgate::{CostModel, FaultGateAdjust, GateDecision};
 pub use decompose::{decompose, DecomposeOptions, DecomposeSummary};

@@ -4,7 +4,6 @@ use overlap_hlo::{HloError, InstrId, LayerTags, Module, ModuleAnalysis, WireForm
 use overlap_mesh::{FaultSpec, Machine};
 use overlap_sim::{CostTable, Simulation};
 
-use crate::asyncify::asyncify;
 use crate::costgate::{CostModel, FaultGateAdjust, GateDecision};
 use crate::decompose::{decompose, DecomposeOptions, DecomposeSummary};
 use crate::fusion::{fuse, FusionOptions};
@@ -199,7 +198,7 @@ fn budget_wire(
 /// Result of running the pipeline.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The transformed module (decomposed, asyncified, fused).
+    /// The transformed module (decomposed with async permutes, fused).
     pub module: Module,
     /// The scheduled instruction order to execute/simulate.
     pub order: Vec<InstrId>,
@@ -232,8 +231,8 @@ impl Compiled {
 }
 
 /// The compiler pipeline implementing the paper end to end:
-/// pattern finding → §5.5 gate → §5.1/§5.4 decomposition → §5.2 async
-/// conversion → §5.4.3 fusion → §5.2 scheduling.
+/// pattern finding → §5.5 gate → §5.1/§5.4 decomposition (emitting §5.2
+/// async permutes) → §5.4.3 fusion → §5.2 scheduling.
 ///
 /// # Example
 ///
@@ -436,8 +435,10 @@ impl OverlapPipeline {
         let selected = selected;
 
         // `decompose` value-numbers as it builds, so the result is
-        // already in CSE normal form — no separate merge pass needed.
-        let (mut decomposed, summaries, _decompose_analysis) =
+        // already in CSE normal form, and emits every permute as its async
+        // start/done pair; its builder-maintained analysis serves every
+        // later pass.
+        let (mut decomposed, summaries, mut analysis) =
             timings.time("decompose", || decompose(module, &selected));
 
         // Precision annotation for kept collectives: when the strategy
@@ -476,16 +477,13 @@ impl OverlapPipeline {
                 }
             });
         }
-        // asyncify rebuilds the module, so its builder re-derives the
-        // analysis append-by-append.
-        let (asynced, mut analysis) = timings.time("asyncify", || asyncify(&decomposed));
         let final_module = match self.options.fusion_options() {
             Some(fopts) => timings.time("fuse", || {
-                let fused = fuse(&asynced, &analysis, &fopts);
+                let fused = fuse(decomposed, &analysis, &fopts);
                 analysis.refresh_fusion(&fused);
                 fused
             }),
-            None => asynced,
+            None => decomposed,
         };
 
         let t0 = std::time::Instant::now();

@@ -1,12 +1,13 @@
 //! Latency-hiding instruction scheduling (§5.2).
 //!
-//! Both schedulers take a verified module (typically after [`asyncify`])
-//! and produce a linear instruction order in which asynchronous
+//! Both schedulers take a verified module (typically the output of
+//! [`decompose`], whose permutes are already start/done pairs) and
+//! produce a linear instruction order in which asynchronous
 //! `CollectivePermuteStart`s issue as early and `Done`s retire as late as
 //! data dependences allow, so transfers run concurrently with the compute
 //! between them. The simulator executes the returned order directly.
 //!
-//! [`asyncify`]: crate::asyncify
+//! [`decompose`]: crate::decompose
 
 #[cfg(test)]
 use std::collections::HashMap;
@@ -194,16 +195,16 @@ fn done_transfer_latency_of_start(table: &CostTable, start: InstrId) -> f64 {
 /// # Example
 ///
 /// ```
-/// use overlap_core::{asyncify, schedule_bottom_up};
-/// use overlap_hlo::{Builder, DType, Shape};
+/// use overlap_core::schedule_bottom_up;
+/// use overlap_hlo::{Builder, DType, Shape, WireFormat};
 /// use overlap_mesh::Machine;
 /// use overlap_sim::CostTable;
 ///
 /// let mut b = Builder::new("m", 2);
 /// let x = b.parameter(Shape::new(DType::F32, vec![1024]), "x");
-/// let p = b.collective_permute(x, vec![(0, 1), (1, 0)], "p");
+/// let p = b.collective_permute_async(x, vec![(0, 1), (1, 0)], WireFormat::Lossless, "p");
 /// let c = b.copy(p, "c");
-/// let (m, analysis) = asyncify(&b.build(vec![c]));
+/// let (m, analysis) = b.build_with_analysis(vec![c]);
 ///
 /// let machine = Machine::tpu_v4_like(2);
 /// let table = CostTable::new(&m, &machine).unwrap();

@@ -115,16 +115,6 @@ impl ModuleAnalysis {
         &self.users
     }
 
-    /// Users of one instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn users_of(&self, id: InstrId) -> &[InstrId] {
-        &self.users[id.index()]
-    }
-
     /// Dense fusion-membership table; identical to [`Module::fusion_of`].
     #[must_use]
     pub fn fusion(&self) -> &[Option<FusionId>] {
@@ -146,16 +136,6 @@ impl ModuleAnalysis {
     #[must_use]
     pub fn live(&self) -> &[bool] {
         &self.live
-    }
-
-    /// Whether `id` is reachable from the module outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn is_live(&self, id: InstrId) -> bool {
-        self.live[id.index()]
     }
 
     /// Instructions `0..verified_len()` have passed the per-instruction
@@ -190,17 +170,6 @@ impl ModuleAnalysis {
     pub fn refresh_fusion(&mut self, module: &Module) {
         assert_eq!(self.len(), module.len(), "analysis does not cover module");
         self.fusion = module.fusion_of();
-    }
-
-    /// Recomputes liveness from `module`'s outputs (call if the outputs
-    /// were edited after the analysis was built).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis does not cover `module`.
-    pub fn refresh_liveness(&mut self, module: &Module) {
-        assert_eq!(self.len(), module.len(), "analysis does not cover module");
-        self.live = module.live_set();
     }
 }
 

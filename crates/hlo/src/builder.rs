@@ -1,7 +1,11 @@
 //! Append-only graph builder.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
+use crate::verify::PairCheck;
 use crate::{
     BinaryKind, DType, DotDims, InstrId, Instruction, Module, ModuleAnalysis, Op, PadDim,
     ReplicaGroups, Shape, UnaryKind, WireFormat,
@@ -31,25 +35,24 @@ use crate::{
 #[derive(Debug)]
 pub struct Builder {
     module: Module,
-    names: HashSet<String>,
-    /// Next suffix to probe per collided base name (names are never
-    /// removed, so a suffix found occupied stays occupied and probing
-    /// never needs to restart from 1).
-    suffix_hint: HashMap<String, usize>,
-    tag: Option<String>,
+    /// Names taken as given, each with the next suffix to probe as a
+    /// base. Generated names are implied, not stored: `base.i` is taken
+    /// for every `1 <= i < hint(base)`.
+    names: HashMap<String, Cell<usize>>,
+    tag: Option<Arc<str>>,
     next_param: usize,
     /// Users table maintained append-by-append, handed out through
     /// [`Builder::build_with_analysis`].
     users: Vec<Vec<InstrId>>,
-    /// Epoch-stamped scratch for duplicate-destination checking in the
-    /// permute appends; avoids an alloc+sort per appended permute.
-    perm_seen: Vec<u64>,
-    perm_epoch: u64,
+    /// Checks each distinct permute pair list once.
+    pair_check: PairCheck,
     /// Append-time value numbering (see
     /// [`Builder::enable_value_numbering`]): key of every appended pure
     /// instruction, mapping structural duplicates to their first
     /// occurrence.
     value_numbering: Option<HashMap<Vec<u64>, InstrId>>,
+    /// Reused value-numbering lookup key; cloned only on insert.
+    vn_key: Vec<u64>,
 }
 
 impl Builder {
@@ -70,14 +73,13 @@ impl Builder {
                 num_partitions,
                 fusion_groups: Vec::new(),
             },
-            names: HashSet::new(),
-            suffix_hint: HashMap::new(),
+            names: HashMap::new(),
             tag: None,
             next_param: 0,
             users: Vec::new(),
-            perm_seen: Vec::new(),
-            perm_epoch: 0,
+            pair_check: PairCheck::default(),
             value_numbering: None,
+            vn_key: Vec::new(),
         }
     }
 
@@ -120,23 +122,51 @@ impl Builder {
 
     /// Sets the tag attached to subsequently appended instructions
     /// (`None` clears it). Passes use tags to mark emitted regions.
+    /// Appended instructions share the tag's string.
     pub fn set_tag(&mut self, tag: Option<&str>) {
-        self.tag = tag.map(str::to_owned);
+        if self.tag.as_deref() != tag {
+            self.tag = tag.map(Arc::from);
+        }
+    }
+
+    /// Whether `name` is a suffixed name generated for a stored base.
+    fn is_generated(&self, name: &str) -> bool {
+        let Some((base, suffix)) = name.rsplit_once('.') else { return false };
+        // Generated suffixes are canonical decimals counting from 1.
+        if suffix.starts_with('0') || !suffix.bytes().all(|c| c.is_ascii_digit()) {
+            return false;
+        }
+        let Ok(i) = suffix.parse::<usize>() else { return false };
+        self.names.get(base).is_some_and(|hint| i < hint.get())
     }
 
     fn unique_name(&mut self, base: &str) -> String {
-        if self.names.insert(base.to_string()) {
-            return base.to_string();
-        }
-        let mut i = self.suffix_hint.get(base).copied().unwrap_or(1);
+        let stored = self.names.get(base);
+        let mut i = match stored {
+            Some(hint) => hint.get(),
+            None if self.is_generated(base) => 1,
+            None => {
+                self.names.insert(base.to_string(), Cell::new(1));
+                return base.to_string();
+            }
+        };
+        let mut candidate = String::with_capacity(base.len() + 4);
         loop {
-            let candidate = format!("{base}.{i}");
-            if self.names.insert(candidate.clone()) {
-                self.suffix_hint.insert(base.to_string(), i + 1);
-                return candidate;
+            candidate.clear();
+            write!(candidate, "{base}.{i}").expect("writing to a String cannot fail");
+            // At or past the hint, `base.i` can only be taken as given.
+            if !self.names.contains_key(candidate.as_str()) {
+                break;
             }
             i += 1;
         }
+        match stored {
+            Some(hint) => hint.set(i + 1),
+            None => {
+                self.names.insert(base.to_string(), Cell::new(i + 1));
+            }
+        }
+        candidate
     }
 
     fn append(&mut self, op: Op, operands: Vec<InstrId>, shape: Shape, name: &str) -> InstrId {
@@ -146,19 +176,19 @@ impl Builder {
                 "operand {o} not yet built (use-after-def violation)"
             );
         }
-        let mut vn_key = None;
+        let mut numbered = false;
         if self.value_numbering.is_some() {
-            let mut key: Vec<u64> = Vec::with_capacity(8 + operands.len());
-            if crate::transform::value_key_into(&op, &shape, &mut key) {
-                key.extend(operands.iter().map(|o| o.index() as u64));
-                let table = self.value_numbering.as_mut().expect("checked above");
-                if let Some(&existing) = table.get(&key) {
+            self.vn_key.clear();
+            if crate::transform::value_key_into(&op, &shape, &mut self.vn_key) {
+                self.vn_key.extend(operands.iter().map(|o| o.index() as u64));
+                let table = self.value_numbering.as_ref().expect("checked above");
+                if let Some(&existing) = table.get(self.vn_key.as_slice()) {
                     // Consume the name this instruction would have taken so
                     // suffix numbering matches the build-then-CSE pipeline.
                     let _ = self.unique_name(name);
                     return existing;
                 }
-                vn_key = Some(key);
+                numbered = true;
             }
         }
         let name = self.unique_name(name);
@@ -177,7 +207,8 @@ impl Builder {
             operands,
             tag: self.tag.clone(),
         });
-        if let Some(key) = vn_key {
+        if numbered {
+            let key = self.vn_key.clone();
             self.value_numbering.as_mut().expect("key only built when enabled").insert(key, id);
         }
         id
@@ -301,7 +332,7 @@ impl Builder {
         limits: Vec<usize>,
         name: &str,
     ) -> InstrId {
-        let xs = self.shape_of(x).clone();
+        let xs = self.shape_of(x);
         assert_eq!(starts.len(), xs.rank(), "slice starts arity");
         assert_eq!(limits.len(), xs.rank(), "slice limits arity");
         let mut dims = Vec::with_capacity(xs.rank());
@@ -314,7 +345,8 @@ impl Builder {
             );
             dims.push(limits[d] - starts[d]);
         }
-        self.append(Op::Slice { starts, limits }, vec![x], Shape::new(xs.dtype(), dims), name)
+        let out = Shape::new(xs.dtype(), dims);
+        self.append(Op::Slice { starts, limits }, vec![x], out, name)
     }
 
     /// Appends a dynamic slice of `x` with runtime start `indices` (scalar
@@ -330,7 +362,7 @@ impl Builder {
         sizes: Vec<usize>,
         name: &str,
     ) -> InstrId {
-        let xs = self.shape_of(x).clone();
+        let xs = self.shape_of(x);
         assert_eq!(indices.len(), xs.rank(), "dynamic-slice index arity");
         assert_eq!(sizes.len(), xs.rank(), "dynamic-slice sizes arity");
         for (d, &size) in sizes.iter().enumerate() {
@@ -343,9 +375,9 @@ impl Builder {
                 "dynamic-slice index {i} must be an integer scalar, got {s}"
             );
         }
+        let out = Shape::new(xs.dtype(), sizes.clone());
         let mut operands = vec![x];
         operands.extend_from_slice(indices);
-        let out = Shape::new(xs.dtype(), sizes.clone());
         self.append(Op::DynamicSlice { sizes }, operands, out, name)
     }
 
@@ -362,7 +394,7 @@ impl Builder {
         name: &str,
     ) -> InstrId {
         let xs = self.shape_of(x).clone();
-        let us = self.shape_of(update).clone();
+        let us = self.shape_of(update);
         assert_eq!(indices.len(), xs.rank(), "dynamic-update-slice index arity");
         assert_eq!(us.rank(), xs.rank(), "update rank must match data rank");
         assert_eq!(us.dtype(), xs.dtype(), "update dtype must match data dtype");
@@ -388,7 +420,7 @@ impl Builder {
     /// Panics if operands disagree off-`dim` or `xs` is empty.
     pub fn concatenate(&mut self, xs: &[InstrId], dim: usize, name: &str) -> InstrId {
         assert!(!xs.is_empty(), "concatenate needs at least one operand");
-        let first = self.shape_of(xs[0]).clone();
+        let first = self.shape_of(xs[0]);
         assert!(dim < first.rank(), "concatenate dim {dim} out of range");
         let mut total = 0usize;
         for &x in xs {
@@ -413,7 +445,7 @@ impl Builder {
     /// Panics if `value` is not a scalar of the same dtype or `config` has
     /// the wrong arity.
     pub fn pad(&mut self, x: InstrId, value: InstrId, config: Vec<PadDim>, name: &str) -> InstrId {
-        let xs = self.shape_of(x).clone();
+        let xs = self.shape_of(x);
         let vs = self.shape_of(value);
         assert!(vs.is_scalar() && vs.dtype() == xs.dtype(), "pad value must be scalar of same dtype");
         assert_eq!(config.len(), xs.rank(), "pad config arity");
@@ -423,7 +455,8 @@ impl Builder {
             .zip(&config)
             .map(|(&d, p)| d + p.low + p.high)
             .collect();
-        self.append(Op::Pad { config }, vec![x, value], Shape::new(xs.dtype(), dims), name)
+        let out = Shape::new(xs.dtype(), dims);
+        self.append(Op::Pad { config }, vec![x, value], out, name)
     }
 
     /// Appends an elementwise binary op of the given kind (generic form
@@ -517,10 +550,10 @@ impl Builder {
     /// Panics if the dimension numbers are inconsistent with the operand
     /// shapes.
     pub fn einsum(&mut self, lhs: InstrId, rhs: InstrId, dims: DotDims, name: &str) -> InstrId {
-        let ls = self.shape_of(lhs).clone();
-        let rs = self.shape_of(rhs).clone();
+        let ls = self.shape_of(lhs);
+        let rs = self.shape_of(rhs);
         let out = dims
-            .output_shape(&ls, &rs)
+            .output_shape(ls, rs)
             .unwrap_or_else(|e| panic!("einsum {name}: {e} (lhs {ls}, rhs {rs})"));
         self.append(Op::Einsum(dims), vec![lhs, rhs], out, name)
     }
@@ -657,17 +690,10 @@ impl Builder {
         self.append(Op::AllToAll { split_dim, concat_dim, groups }, vec![x], out, name)
     }
 
-    fn check_pairs(&mut self, pairs: &[(u32, u32)], what: &str) {
+    fn check_pairs(&mut self, pairs: &Arc<[(u32, u32)]>, what: &str) {
         let n = self.module.num_partitions as u32;
-        if self.perm_seen.len() < n as usize {
-            self.perm_seen.resize(n as usize, 0);
-        }
-        self.perm_epoch += 1;
-        for &(s, d) in pairs {
-            assert!(s < n && d < n, "{what}: pair ({s},{d}) out of range for {n} partitions");
-            let slot = &mut self.perm_seen[d as usize];
-            assert_ne!(*slot, self.perm_epoch, "{what}: duplicate destination");
-            *slot = self.perm_epoch;
+        if let Err(problem) = self.pair_check.check(pairs, n) {
+            panic!("{what}: {problem}");
         }
     }
 
@@ -679,30 +705,13 @@ impl Builder {
     pub fn collective_permute(
         &mut self,
         x: InstrId,
-        pairs: Vec<(u32, u32)>,
+        pairs: impl Into<Arc<[(u32, u32)]>>,
         name: &str,
     ) -> InstrId {
-        self.collective_permute_wire(x, pairs, WireFormat::Lossless, name)
-    }
-
-    /// [`Builder::collective_permute`] with an explicit wire encoding
-    /// (the decompose pass uses this for quantized ring steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a destination repeats, an id is out of range, or the
-    /// wire format's parameters are invalid.
-    pub fn collective_permute_wire(
-        &mut self,
-        x: InstrId,
-        pairs: Vec<(u32, u32)>,
-        wire: WireFormat,
-        name: &str,
-    ) -> InstrId {
+        let pairs = pairs.into();
         self.check_pairs(&pairs, "collective-permute");
-        wire.validate().unwrap_or_else(|e| panic!("collective-permute {name}: {e}"));
         let xs = self.shape_of(x).clone();
-        self.append(Op::CollectivePermute { pairs, wire }, vec![x], xs, name)
+        self.append(Op::CollectivePermute { pairs, wire: WireFormat::Lossless }, vec![x], xs, name)
     }
 
     /// Appends an asynchronous `CollectivePermuteStart` of `x`.
@@ -713,22 +722,16 @@ impl Builder {
     pub fn collective_permute_start(
         &mut self,
         x: InstrId,
-        pairs: Vec<(u32, u32)>,
+        pairs: impl Into<Arc<[(u32, u32)]>>,
         name: &str,
     ) -> InstrId {
-        self.collective_permute_start_wire(x, pairs, WireFormat::Lossless, name)
+        self.permute_start(x, pairs.into(), WireFormat::Lossless, name)
     }
 
-    /// [`Builder::collective_permute_start`] with an explicit wire
-    /// encoding.
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if the wire format's parameters are invalid.
-    pub fn collective_permute_start_wire(
+    fn permute_start(
         &mut self,
         x: InstrId,
-        pairs: Vec<(u32, u32)>,
+        pairs: Arc<[(u32, u32)]>,
         wire: WireFormat,
         name: &str,
     ) -> InstrId {
@@ -737,6 +740,27 @@ impl Builder {
             .unwrap_or_else(|e| panic!("collective-permute-start {name}: {e}"));
         let xs = self.shape_of(x).clone();
         self.append(Op::CollectivePermuteStart { pairs, wire }, vec![x], xs, name)
+    }
+
+    /// Appends the §5.2 asynchronous form of a permute of `x`: the
+    /// `CollectivePermuteStart`, then its `CollectivePermuteDone` named
+    /// `<start>.done`, both under the current tag. Returns the done; the
+    /// scheduler moves the pair apart to overlap the transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a destination repeats, an id is out of range, or the
+    /// wire format's parameters are invalid.
+    pub fn collective_permute_async(
+        &mut self,
+        x: InstrId,
+        pairs: impl Into<Arc<[(u32, u32)]>>,
+        wire: WireFormat,
+        name: &str,
+    ) -> InstrId {
+        let start = self.permute_start(x, pairs.into(), wire, name);
+        let done_name = format!("{}.done", self.module.instrs[start.index()].name);
+        self.collective_permute_done(start, &done_name)
     }
 
     /// Appends the `CollectivePermuteDone` consuming `start`.
@@ -853,6 +877,19 @@ mod tests {
     }
 
     #[test]
+    fn generated_names_collide_with_names_given_later() {
+        let mut b = Builder::new("m", 1);
+        let given = ["x", "x", "x.1", "x.3", "x", "x", "x", "x.2", "x.01", "x.1", "x.1.1"];
+        let ids: Vec<InstrId> = given.iter().map(|n| b.parameter(f32s(&[2]), n)).collect();
+        let m = b.build(ids.clone());
+        let names: Vec<&str> = ids.iter().map(|&id| m.instr(id).name()).collect();
+        assert_eq!(
+            names,
+            ["x", "x.1", "x.1.1", "x.3", "x.2", "x.4", "x.5", "x.2.1", "x.01", "x.1.2", "x.1.1.1"]
+        );
+    }
+
+    #[test]
     fn tags_apply_to_subsequent_instrs() {
         let mut b = Builder::new("m", 1);
         let a = b.parameter(f32s(&[2]), "x");
@@ -898,6 +935,66 @@ mod tests {
         let mut b = Builder::new("m", 2);
         let x = b.parameter(f32s(&[4]), "x");
         b.collective_permute(x, vec![(0, 1), (1, 1)], "cp");
+    }
+
+    #[test]
+    fn async_permute_appends_start_then_named_done_under_the_tag() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        b.set_tag(Some("lce.cp"));
+        let first = b.collective_permute_async(x, vec![(0, 1), (1, 0)], WireFormat::Lossless, "cp");
+        let second =
+            b.collective_permute_async(first, vec![(0, 1), (1, 0)], WireFormat::Lossless, "cp");
+        b.set_tag(None);
+        let m = b.build(vec![second]);
+        m.verify().unwrap();
+        let names: Vec<&str> = m.iter().map(|(_, i)| i.name()).collect();
+        assert_eq!(names, ["x", "cp", "cp.done", "cp.1", "cp.1.done"]);
+        for (id, ins) in m.iter().skip(1) {
+            assert_eq!(ins.tag(), Some("lce.cp"), "{id}");
+        }
+        assert!(matches!(m.instr(second).op(), Op::CollectivePermuteDone));
+        assert_eq!(m.instr(second).operands(), &[InstrId(3)]);
+    }
+
+    #[test]
+    fn a_shared_pair_list_is_kept_by_every_permute() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        let ring: Arc<[(u32, u32)]> = Arc::from(vec![(0, 1), (1, 0)]);
+        let a = b.collective_permute(x, Arc::clone(&ring), "a");
+        let c = b.collective_permute(a, Arc::clone(&ring), "c");
+        let m = b.build(vec![c]);
+        for id in [a, c] {
+            let Op::CollectivePermute { pairs, .. } = m.instr(id).op() else { unreachable!() };
+            assert!(Arc::ptr_eq(pairs, &ring));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate destination")]
+    fn a_list_allocated_after_a_checked_one_is_dropped_is_still_checked() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        // The caller's handle to the checked list goes away here; the
+        // builder's clone keeps its address from being reused below.
+        let p = b.collective_permute(x, vec![(0, 1), (1, 0)], "p");
+        b.collective_permute(p, vec![(0, 1), (1, 1)], "q");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate destination")]
+    fn a_second_arc_of_a_rejected_list_is_rejected() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        let bad = vec![(0, 1), (1, 1)];
+        let first: Arc<[(u32, u32)]> = Arc::from(bad.clone());
+        let second: Arc<[(u32, u32)]> = Arc::from(bad);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            b.collective_permute(x, first, "p");
+        }));
+        assert!(caught.is_err(), "the first copy must be rejected");
+        b.collective_permute(x, second, "q");
     }
 
     #[test]

@@ -186,12 +186,6 @@ impl DotDims {
             .map(|i| self.batch.len() + self.lhs_free_dims(lhs_rank).len() + i)
     }
 
-    /// Position of the `i`-th batch pair in the output (batch dims lead).
-    #[must_use]
-    pub fn output_dim_of_batch(&self, batch_index: usize) -> usize {
-        batch_index
-    }
-
     /// Infers the output shape for the given operand shapes.
     ///
     /// # Errors

@@ -1,6 +1,7 @@
 //! Instructions: nodes of the dataflow graph.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Op, Shape};
 
@@ -45,7 +46,7 @@ pub struct Instruction {
     pub(crate) shape: Shape,
     pub(crate) op: Op,
     pub(crate) operands: Vec<InstrId>,
-    pub(crate) tag: Option<String>,
+    pub(crate) tag: Option<Arc<str>>,
 }
 
 impl Instruction {

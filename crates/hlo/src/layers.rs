@@ -3,8 +3,8 @@
 //! The stacked window modules built by `overlap-models` prefix every
 //! instruction of layer *k* with `L<k>.` (e.g. `L2.fwd_qkv`); every pass
 //! in the pipeline derives generated names from the source instruction's
-//! name (`L2.fwd_qkv.partial`, `L2.fwd_qkv.cp.1`, …), so the prefix —
-//! and hence the layer structure — survives decomposition, asyncify,
+//! name (`L2.fwd_qkv.partial`, `L2.fwd_qkv.cp.1.done`, …), so the
+//! prefix — and hence the layer structure — survives decomposition,
 //! fusion and CSE. [`LayerTags`] parses the prefixes back out and
 //! normalizes them into a *monotone* per-instruction layer tag the
 //! cross-layer windowed schedulers (`overlap-core`) can bound their

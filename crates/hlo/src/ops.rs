@@ -1,6 +1,7 @@
 //! Operation kinds: the instruction set of the IR.
 
 use std::fmt;
+use std::sync::Arc;
 
 use overlap_quant::WireFormat;
 
@@ -339,7 +340,8 @@ pub enum Op {
     /// receive zeros (XLA semantics).
     CollectivePermute {
         /// `(source, destination)` pairs; destinations must be distinct.
-        pairs: Vec<(u32, u32)>,
+        /// Shared by every ring step of a decomposed loop.
+        pairs: Arc<[(u32, u32)]>,
         /// Wire encoding of the exchanged shards.
         wire: WireFormat,
     },
@@ -347,7 +349,7 @@ pub enum Op {
     /// in-flight token consumed by exactly one `CollectivePermuteDone`.
     CollectivePermuteStart {
         /// `(source, destination)` pairs; destinations must be distinct.
-        pairs: Vec<(u32, u32)>,
+        pairs: Arc<[(u32, u32)]>,
         /// Wire encoding of the in-flight transfer; the paired
         /// `CollectivePermuteDone` observes the dequantized data.
         wire: WireFormat,
@@ -525,18 +527,18 @@ mod tests {
 
     #[test]
     fn permute_pairs_accessor() {
-        let pairs = vec![(0, 1), (1, 0)];
+        let pairs: Arc<[(u32, u32)]> = Arc::from([(0, 1), (1, 0)]);
         let cp = Op::CollectivePermute { pairs: pairs.clone(), wire: WireFormat::Lossless };
         let cps =
             Op::CollectivePermuteStart { pairs: pairs.clone(), wire: WireFormat::Lossless };
-        assert_eq!(cp.permute_pairs(), Some(pairs.as_slice()));
-        assert_eq!(cps.permute_pairs(), Some(pairs.as_slice()));
+        assert_eq!(cp.permute_pairs(), Some(&pairs[..]));
+        assert_eq!(cps.permute_pairs(), Some(&pairs[..]));
         assert_eq!(Op::CollectivePermuteDone.permute_pairs(), None);
     }
 
     #[test]
     fn wire_accessor_and_rewrite() {
-        let pairs = vec![(0u32, 1u32), (1, 0)];
+        let pairs = Arc::from([(0, 1), (1, 0)]);
         let cp = Op::CollectivePermute { pairs, wire: WireFormat::Lossless };
         assert_eq!(cp.wire(), WireFormat::Lossless);
         let q = cp.with_wire(WireFormat::Bf16).unwrap();

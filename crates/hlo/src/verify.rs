@@ -1,6 +1,47 @@
 //! Structural and shape verification of modules.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use crate::{FusionId, HloError, InstrId, Module, ModuleAnalysis, Op, Shape, WireFormat};
+
+/// Permute-pair checking for the builder and the verifier: destinations
+/// are stamped in one epoch-tagged scratch array instead of sorted per
+/// permute, and a list shared by several permutes is accepted once. A
+/// clone of every accepted list is kept, so its address can never be
+/// freed and reused by a different list while the memo lives.
+#[derive(Debug, Default)]
+pub(crate) struct PairCheck {
+    seen: Vec<u64>,
+    epoch: u64,
+    accepted: HashMap<usize, Arc<[(u32, u32)]>>,
+}
+
+impl PairCheck {
+    /// The first problem with `pairs` on `n` partitions; a duplicate
+    /// destination outranks an out-of-range id.
+    pub(crate) fn check(&mut self, pairs: &Arc<[(u32, u32)]>, n: u32) -> Result<(), &'static str> {
+        let address = Arc::as_ptr(pairs).cast::<(u32, u32)>() as usize;
+        if self.accepted.contains_key(&address) {
+            return Ok(());
+        }
+        if pairs.iter().any(|&(s, d)| s >= n || d >= n) {
+            let mut dsts: Vec<u32> = pairs.iter().map(|&(_, d)| d).collect();
+            dsts.sort_unstable();
+            let duplicate = dsts.windows(2).any(|w| w[0] == w[1]);
+            return Err(if duplicate { "duplicate destination" } else { "id out of range" });
+        }
+        self.seen.resize(self.seen.len().max(n as usize), 0);
+        self.epoch += 1;
+        for &(_, d) in pairs.iter() {
+            if std::mem::replace(&mut self.seen[d as usize], self.epoch) == self.epoch {
+                return Err("duplicate destination");
+            }
+        }
+        self.accepted.insert(address, Arc::clone(pairs));
+        Ok(())
+    }
+}
 
 impl Module {
     /// Verifies every structural and shape invariant of the module.
@@ -22,44 +63,8 @@ impl Module {
     ///
     /// Returns the first violated invariant as an [`HloError`].
     pub fn verify(&self) -> Result<(), HloError> {
-        let mut param_indices: Vec<usize> = Vec::new();
-        for (id, ins) in self.iter() {
-            for &o in ins.operands() {
-                if o.index() >= self.instrs.len() {
-                    return Err(HloError::DanglingOperand {
-                        instr: ins.name().to_string(),
-                        operand: o.index(),
-                    });
-                }
-                if o >= id {
-                    return Err(HloError::NotADag(format!(
-                        "{} uses {} which does not precede it",
-                        ins.name(),
-                        self.instr(o).name()
-                    )));
-                }
-            }
-            self.check_instr(id)?;
-            if let Op::Parameter { index } = ins.op() {
-                param_indices.push(*index);
-            }
-        }
-        param_indices.sort_unstable();
-        for (i, &p) in param_indices.iter().enumerate() {
-            if p != i {
-                return Err(HloError::Verification(format!(
-                    "parameter indices not dense: expected {i}, found {p}"
-                )));
-            }
-        }
-        for &o in &self.outputs {
-            if o.index() >= self.instrs.len() {
-                return Err(HloError::Verification(format!("output {o} out of range")));
-            }
-        }
-        self.check_start_done_pairing(&self.users())?;
-        self.check_fusion_groups(&self.users(), &self.fusion_of())?;
-        Ok(())
+        self.check_instrs(0)?;
+        self.check_globals(&self.users(), &self.fusion_of())
     }
 
     /// Incremental verification: per-instruction checks (operand
@@ -107,7 +112,19 @@ impl Module {
     }
 
     fn verify_incremental_impl(&self, analysis: &ModuleAnalysis) -> Result<(), HloError> {
-        for (id, ins) in self.iter().skip(analysis.verified_len()) {
+        self.check_instrs(analysis.verified_len())?;
+        // Global invariants are cheap relative to shape inference and a
+        // pass rewrite can violate them without touching any single
+        // instruction, so they always run in full — against the
+        // maintained tables rather than fresh index builds.
+        self.check_globals(analysis.users(), analysis.fusion())
+    }
+
+    /// Per-instruction checks from instruction `from` on: operands exist
+    /// and precede their user, and `check_instr`.
+    fn check_instrs(&self, from: usize) -> Result<(), HloError> {
+        let mut pair_check = PairCheck::default();
+        for (id, ins) in self.iter().skip(from) {
             for &o in ins.operands() {
                 if o.index() >= self.instrs.len() {
                     return Err(HloError::DanglingOperand {
@@ -123,12 +140,18 @@ impl Module {
                     )));
                 }
             }
-            self.check_instr(id)?;
+            self.check_instr(id, &mut pair_check)?;
         }
-        // Global invariants are cheap relative to shape inference and a
-        // pass rewrite can violate them without touching any single
-        // instruction, so they always run in full — against the
-        // maintained tables rather than fresh index builds.
+        Ok(())
+    }
+
+    /// Whole-module invariants: dense parameter indices, outputs in
+    /// range, start/done pairing and fusion-group well-formedness.
+    fn check_globals(
+        &self,
+        users: &[Vec<InstrId>],
+        fusion_of: &[Option<FusionId>],
+    ) -> Result<(), HloError> {
         let mut param_indices: Vec<usize> = self
             .iter()
             .filter_map(|(_, ins)| match ins.op() {
@@ -149,9 +172,8 @@ impl Module {
                 return Err(HloError::Verification(format!("output {o} out of range")));
             }
         }
-        self.check_start_done_pairing(analysis.users())?;
-        self.check_fusion_groups(analysis.users(), analysis.fusion())?;
-        Ok(())
+        self.check_start_done_pairing(users)?;
+        self.check_fusion_groups(users, fusion_of)
     }
 
     fn mismatch(&self, id: InstrId, message: String) -> HloError {
@@ -181,7 +203,7 @@ impl Module {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn check_instr(&self, id: InstrId) -> Result<(), HloError> {
+    fn check_instr(&self, id: InstrId, pair_check: &mut PairCheck) -> Result<(), HloError> {
         let ins = self.instr(id);
         let shape = ins.shape();
         let operand = |i: usize| self.shape_of(ins.operands()[i]);
@@ -401,23 +423,9 @@ impl Module {
             Op::CollectivePermute { pairs, wire } | Op::CollectivePermuteStart { pairs, wire } => {
                 self.expect_arity(id, 1)?;
                 self.check_wire(id, *wire)?;
-                let n = self.num_partitions as u32;
-                let mut dsts: Vec<u32> = pairs.iter().map(|&(_, d)| d).collect();
-                dsts.sort_unstable();
-                let before = dsts.len();
-                dsts.dedup();
-                if dsts.len() != before {
-                    return Err(HloError::InvalidPermutePairs(format!(
-                        "{}: duplicate destination",
-                        ins.name()
-                    )));
-                }
-                if pairs.iter().any(|&(s, d)| s >= n || d >= n) {
-                    return Err(HloError::InvalidPermutePairs(format!(
-                        "{}: id out of range",
-                        ins.name()
-                    )));
-                }
+                pair_check.check(pairs, self.num_partitions as u32).map_err(|problem| {
+                    HloError::InvalidPermutePairs(format!("{}: {problem}", ins.name()))
+                })?;
                 self.expect_shape(id, &operand(0).clone())?;
             }
             Op::CollectivePermuteDone => {
@@ -492,7 +500,9 @@ impl Module {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Builder, DType, DotDims, FusionGroup, ReplicaGroups, Shape};
+    use std::sync::Arc;
+
+    use crate::{Builder, DType, DotDims, FusionGroup, HloError, ReplicaGroups, Shape};
 
     fn f32s(dims: &[usize]) -> Shape {
         Shape::new(DType::F32, dims.to_vec())
@@ -624,9 +634,61 @@ mod tests {
         let p = b.collective_permute(x, vec![(0, 1), (1, 2)], "p");
         let mut bad = b.build(vec![p]);
         if let crate::Op::CollectivePermute { pairs, .. } = &mut bad.instrs[p.index()].op {
-            pairs.push((2, 1));
+            *pairs = [&pairs[..], &[(2, 1)]].concat().into();
         }
         assert!(bad.verify().is_err());
+    }
+
+    fn permute_error(m: &crate::Module) -> String {
+        match m.verify() {
+            Err(HloError::InvalidPermutePairs(message)) => message,
+            other => panic!("expected a permute-pair error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn permute_errors_keep_their_precedence() {
+        let mut b = Builder::new("m", 4);
+        let x = b.parameter(f32s(&[4]), "x");
+        let p = b.collective_permute(x, vec![(0, 1)], "p");
+        let good = b.build(vec![p]);
+        let with_pairs = |pairs: Vec<(u32, u32)>| {
+            let mut m = good.clone();
+            if let crate::Op::CollectivePermute { pairs: slot, .. } = &mut m.instrs[p.index()].op {
+                *slot = pairs.into();
+            }
+            m
+        };
+        assert_eq!(permute_error(&with_pairs(vec![(0, 1), (2, 1)])), "p: duplicate destination");
+        assert_eq!(permute_error(&with_pairs(vec![(0, 9), (2, 1)])), "p: id out of range");
+        assert_eq!(permute_error(&with_pairs(vec![(9, 1), (0, 2)])), "p: id out of range");
+        // A duplicate outranks a range error, in range or not.
+        assert_eq!(
+            permute_error(&with_pairs(vec![(0, 9), (1, 2), (3, 2)])),
+            "p: duplicate destination"
+        );
+        assert_eq!(
+            permute_error(&with_pairs(vec![(0, 9), (1, 9)])),
+            "p: duplicate destination"
+        );
+    }
+
+    #[test]
+    fn a_shared_list_is_accepted_once_and_a_distinct_bad_one_still_fails() {
+        let mut b = Builder::new("m", 2);
+        let x = b.parameter(f32s(&[4]), "x");
+        let ring: Arc<[(u32, u32)]> = Arc::from(vec![(0, 1), (1, 0)]);
+        let p = b.collective_permute(x, Arc::clone(&ring), "p");
+        let q = b.collective_permute(p, Arc::clone(&ring), "q");
+        let good = b.build(vec![q]);
+        good.verify().unwrap();
+        let mut bad = good.clone();
+        if let crate::Op::CollectivePermute { pairs, .. } = &mut bad.instrs[q.index()].op {
+            *pairs = Arc::from(vec![(0, 1), (1, 1)]);
+        }
+        assert_eq!(permute_error(&bad), "q: duplicate destination");
+        let mut analysis = crate::ModuleAnalysis::of(&bad);
+        assert!(bad.verify_incremental(&mut analysis).is_err());
     }
 
     /// A valid module exercising parameters, a gather/einsum pair, an
@@ -667,7 +729,7 @@ mod tests {
             // Permute with a duplicate destination.
             6 => {
                 if let crate::Op::CollectivePermuteStart { pairs, .. } = &mut m.instrs[4].op {
-                    pairs.push((2, 3));
+                    *pairs = [&pairs[..], &[(2, 3)]].concat().into();
                 }
             }
             // Start without its done.

@@ -4,6 +4,8 @@
 //! their own error types); it is strict about numeric kinds so a float
 //! smuggled into a `usize` field is a decode error, not a truncation.
 
+use std::sync::Arc;
+
 use crate::parse::JsonError;
 use crate::value::Json;
 
@@ -178,6 +180,26 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+/// A shared value encodes as what it points at (`Arc<str>` as a string,
+/// `Arc<[T]>` as an array), so sharing never shows on the wire.
+impl<T: ToJson + ?Sized> ToJson for Arc<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl FromJson for Arc<str> {
+    fn from_json(v: &Json) -> Result<Arc<str>, String> {
+        v.as_str().map(Arc::from).ok_or_else(|| format!("expected string, got {v}"))
+    }
+}
+
+impl<T: FromJson> FromJson for Arc<[T]> {
+    fn from_json(v: &Json) -> Result<Arc<[T]>, String> {
+        Vec::<T>::from_json(v).map(Arc::from)
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -222,6 +244,16 @@ mod tests {
         let j = v.to_json();
         assert_eq!(j.to_string(), "[[1,2],null]");
         assert_eq!(Vec::<Option<(u32, u32)>>::from_json(&j).unwrap(), v);
+    }
+
+    #[test]
+    fn shared_values_encode_as_their_contents() {
+        let pairs: Arc<[(u32, u32)]> = Arc::from(vec![(0, 1), (1, 0)]);
+        assert_eq!(pairs.to_json().to_string(), pairs.to_vec().to_json().to_string());
+        assert_eq!(Arc::<[(u32, u32)]>::from_json(&pairs.to_json()).unwrap(), pairs);
+        let tag: Arc<str> = Arc::from("lce.cp");
+        assert_eq!(tag.to_json(), "lce.cp".to_string().to_json());
+        assert_eq!(Arc::<str>::from_json(&tag.to_json()).unwrap(), tag);
     }
 
     #[test]

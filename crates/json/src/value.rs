@@ -35,16 +35,6 @@ impl Num {
             Num::I(_) | Num::F(_) => None,
         }
     }
-
-    /// The value as `i64` if it is an integer token in range.
-    #[must_use]
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Num::U(u) => i64::try_from(u).ok(),
-            Num::I(i) => Some(i),
-            Num::F(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Num {

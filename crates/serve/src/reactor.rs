@@ -386,21 +386,26 @@ mod tests {
         poller.register(waker.reader(), WAKE, Interest::READ);
 
         let remote = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
+        let mut helper = Some(std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             remote.wake();
             remote.wake(); // coalesces with the first
-        });
+        }));
         let mut woke = false;
         for _ in 0..200 {
             let events = poller.poll(Duration::from_millis(25));
             if events.iter().any(|e| e.token == WAKE && e.readable) {
+                // The first wake can surface before the second lands;
+                // join first so the drain sees both.
+                helper.take().expect("joined once").join().unwrap();
                 waker.drain();
                 woke = true;
                 break;
             }
         }
-        t.join().unwrap();
+        if let Some(helper) = helper {
+            helper.join().unwrap();
+        }
         assert!(woke, "wake() must interrupt poll()");
         // Drained: the next poll times out quietly.
         let events = poller.poll(Duration::from_millis(10));

@@ -8,7 +8,7 @@
 //! cargo run --release --example mlp_partitioning
 //! ```
 
-use overlap::core::{asyncify, decompose, find_patterns, DecomposeOptions};
+use overlap::core::{decompose, find_patterns, DecomposeOptions};
 use overlap::hlo::{ModuleAnalysis, Op};
 use overlap::mesh::DeviceMesh;
 use overlap::numerics::{run_spmd, Literal};
@@ -44,7 +44,6 @@ fn main() {
     let selected: Vec<_> =
         patterns.into_iter().map(|p| (p, DecomposeOptions::default())).collect();
     let (decomposed, summaries, _) = decompose(&fig3, &selected);
-    let (asynced, _) = asyncify(&decomposed);
     for s in &summaries {
         println!(
             "  {}: {} partial einsums, {} permutes",
@@ -67,7 +66,7 @@ fn main() {
         })
         .collect();
     let expect = run_spmd(&fig3, &inputs).expect("original runs");
-    let got = run_spmd(&asynced, &inputs).expect("decomposed runs");
+    let got = run_spmd(&decomposed, &inputs).expect("decomposed runs");
     let mut max_diff = 0.0f64;
     for d in 0..n {
         max_diff = max_diff.max(expect[0][d].max_abs_diff(&got[0][d]));

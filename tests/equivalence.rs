@@ -9,7 +9,7 @@
 //! produce the same per-device outputs as the original under the SPMD
 //! interpreter.
 
-use overlap::core::{asyncify, decompose, find_patterns, fuse, DecomposeOptions, FusionOptions};
+use overlap::core::{decompose, find_patterns, fuse, DecomposeOptions, FusionOptions};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh};
 use overlap::numerics::{run_spmd, Literal};
@@ -97,9 +97,6 @@ fn check_all_variants(m: &Module) {
         let (out, summaries, _) = decompose(m, &selected);
         assert_eq!(summaries.len(), patterns.len(), "every pattern decomposed");
         assert_equivalent(m, &out, 1e-9);
-        // The asyncified form must stay equivalent too.
-        let (asynced, _) = asyncify(&out);
-        assert_equivalent(m, &asynced, 1e-9);
     }
 }
 
@@ -245,10 +242,9 @@ fn fused_module_stays_equivalent() {
         .into_iter()
         .map(|p| (p, DecomposeOptions::default()))
         .collect();
-    let (out, _, _) = decompose(&m, &selected);
-    let (asynced, analysis) = asyncify(&out);
+    let (out, _, analysis) = decompose(&m, &selected);
     for overlap_aware in [false, true] {
-        let fused = fuse(&asynced, &analysis, &FusionOptions { overlap_aware });
+        let fused = fuse(out.clone(), &analysis, &FusionOptions { overlap_aware });
         assert_equivalent(&m, &fused, 1e-9);
     }
 }

@@ -38,7 +38,7 @@ fn rs_module(n: usize) -> Module {
 fn permute_pair_lists(m: &Module) -> Vec<Vec<(u32, u32)>> {
     m.iter()
         .filter_map(|(_, ins)| match ins.op() {
-            Op::CollectivePermute { pairs, .. } => Some(pairs.clone()),
+            Op::CollectivePermuteStart { pairs, .. } => Some(pairs.to_vec()),
             _ => None,
         })
         .collect()

@@ -3,9 +3,7 @@
 //! AllGather operand and a ReduceScatter user going through the full
 //! pipeline.
 
-use overlap::core::{
-    asyncify, decompose, find_patterns, DecomposeOptions, OverlapOptions, OverlapPipeline,
-};
+use overlap::core::{decompose, find_patterns, DecomposeOptions, OverlapOptions, OverlapPipeline};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
@@ -15,12 +13,12 @@ fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
 }
 
-/// Decomposes every pattern of `m` with `opts` and splits the permutes
-/// into async start/done pairs.
+/// Decomposes every pattern of `m` with `opts` (the permutes come out
+/// as async start/done pairs).
 fn decompose_async(m: &Module, opts: DecomposeOptions) -> Module {
     let patterns = find_patterns(m, &ModuleAnalysis::of(m));
     let selected: Vec<_> = patterns.into_iter().map(|p| (p, opts)).collect();
-    asyncify(&decompose(m, &selected).0).0
+    decompose(m, &selected).0
 }
 
 fn assert_equivalent(original: &Module, transformed: &Module) {

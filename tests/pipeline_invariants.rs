@@ -144,7 +144,8 @@ fn overlap_aware_fusion_not_slower() {
     compiled.module.verify_incremental(&mut analysis).expect("compiled module verifies");
     let mut makespans = Vec::new();
     for aware in [true, false] {
-        let fused = fuse(&compiled.module, &analysis, &FusionOptions { overlap_aware: aware });
+        let fused =
+            fuse(compiled.module.clone(), &analysis, &FusionOptions { overlap_aware: aware });
         let r = Simulation::new(&fused, &machine).order(&compiled.order).run().expect("simulate");
         makespans.push(r.makespan());
     }

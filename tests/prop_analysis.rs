@@ -7,7 +7,7 @@
 //! `overlap-core`'s decompose pass, which owns the unnumbered reference.)
 
 use overlap::core::{
-    asyncify, decompose, find_patterns, fuse, split_all_reduces, CostModel, DecomposeOptions,
+    decompose, find_patterns, fuse, split_all_reduces, CostModel, DecomposeOptions,
     OverlapOptions,
 };
 use overlap::hlo::{Module, ModuleAnalysis};
@@ -57,20 +57,17 @@ fn check_pipeline_analyses(module: &Module, machine: &Machine, options: &Overlap
 
     // Decompose: the value-numbering builder maintains the tables while
     // merging duplicates at append time.
-    let (decomposed, _summaries, dec_analysis) = decompose(module, &selected);
-    assert_analysis_fresh(&decomposed, &dec_analysis, "decompose");
-
-    let (asynced, mut analysis) = asyncify(&decomposed);
-    assert_analysis_fresh(&asynced, &analysis, "asyncify");
+    let (decomposed, _summaries, mut analysis) = decompose(module, &selected);
+    assert_analysis_fresh(&decomposed, &analysis, "decompose");
 
     let final_module = match options.fusion_options() {
         Some(fopts) => {
-            let fused = fuse(&asynced, &analysis, &fopts);
+            let fused = fuse(decomposed, &analysis, &fopts);
             analysis.refresh_fusion(&fused);
             assert_analysis_fresh(&fused, &analysis, "fuse");
             fused
         }
-        None => asynced,
+        None => decomposed,
     };
 
     // Incremental and full verification agree on the final module.

@@ -2,7 +2,7 @@
 //! counts and option combinations, the looped collective-einsum must
 //! compute exactly what the original collective + einsum pair computed.
 
-use overlap::core::{asyncify, decompose, find_patterns, DecomposeOptions};
+use overlap::core::{decompose, find_patterns, DecomposeOptions};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::numerics::{run_spmd, Literal};
 use proptest::prelude::*;
@@ -36,10 +36,9 @@ fn check(module: &Module, opts: &DecomposeOptions, seed: u64) -> Result<(), Test
     prop_assert!(!patterns.is_empty());
     let selected: Vec<_> = patterns.into_iter().map(|p| (p, *opts)).collect();
     let (out, _, _) = decompose(module, &selected);
-    let (asynced, _) = asyncify(&out);
     let inputs = inputs_for(module, seed);
     let expect = run_spmd(module, &inputs).expect("original");
-    let got = run_spmd(&asynced, &inputs).expect("decomposed");
+    let got = run_spmd(&out, &inputs).expect("decomposed");
     for (e, g) in expect.iter().zip(&got) {
         for d in 0..module.num_partitions() {
             prop_assert!(
