@@ -8,7 +8,7 @@
 //! ```
 
 use overlap_bench::or_exit;
-use overlap_core::{find_patterns, CostModel, DecomposeOptions};
+use overlap_core::{find_patterns, CostModel, StrategySpec};
 use overlap_hlo::ModuleAnalysis;
 use overlap_models::{find_model, model_names};
 use overlap_sim::CostTable;
@@ -21,7 +21,7 @@ fn main() {
     };
     let module = cfg.layer_module();
     let machine = cfg.machine();
-    let cm = CostModel::new(&machine, DecomposeOptions::default());
+    let cm = CostModel::new(&machine, &StrategySpec::paper_default());
     let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
     println!(
         "{}: {} candidate patterns on mesh {:?}\n",
@@ -35,7 +35,7 @@ fn main() {
     );
     let table = or_exit(CostTable::new(&module, &machine), "cost the layer");
     let decisions = cm.select(&table, &module, &patterns, false);
-    for d in &decisions {
+    for (d, _) in &decisions {
         println!(
             "{:<22} {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>6} {:>9}",
             module.instr(d.pattern.einsum).name(),
@@ -48,6 +48,6 @@ fn main() {
             if d.beneficial { "overlap" } else { "keep" },
         );
     }
-    let kept = decisions.iter().filter(|d| d.beneficial).count();
+    let kept = decisions.iter().filter(|(d, _)| d.beneficial).count();
     println!("\n{kept} of {} einsums will be decomposed", decisions.len());
 }

@@ -25,7 +25,8 @@
 
 use overlap_bench::{or_exit, write_json};
 use overlap_core::{
-    decompose, find_patterns, fuse, schedule_bottom_up, CostModel, DecomposeOptions, FusionOptions,
+    decompose, find_patterns, fuse, schedule_bottom_up, CostModel, FusionOptions, LoopPlan,
+    PatternStrategy, StrategySpec,
 };
 use overlap_hlo::{
     Builder, DType, DotDims, Module, ModuleAnalysis, Op, ReplicaGroups, Shape, WireFormat,
@@ -151,12 +152,12 @@ fn quant_rows(wire: WireFormat) -> Vec<QuantRow> {
         let inputs = inputs_for(&module);
         let want = run_spmd(&module, &inputs).expect("exact proxy");
 
-        let opts = DecomposeOptions { wire, ..Default::default() };
-        let selected: Vec<_> = find_patterns(&module, &ModuleAnalysis::of(&module))
-            .into_iter()
-            .map(|p| (p, opts))
+        let knobs = PatternStrategy { wire, ..Default::default() };
+        let plans: Vec<_> = find_patterns(&module, &ModuleAnalysis::of(&module))
+            .iter()
+            .map(|p| LoopPlan::new(&module, p, &knobs, knobs.ring))
             .collect();
-        let (ring, _, _) = decompose(&module, &selected);
+        let (ring, _, _) = decompose(&module, &plans);
         let got = run_spmd(&ring, &inputs).expect("quantized ring");
         rows.push(QuantRow {
             case: case_ring,
@@ -195,8 +196,7 @@ fn main() {
         }
     };
 
-    let options = DecomposeOptions::default();
-    let cost_model = CostModel::new(&machine, options);
+    let cost_model = CostModel::new(&machine, &StrategySpec::paper_default());
     let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
     let table = or_exit(CostTable::new(&module, &machine), "cost the layer");
     let decisions = cost_model.select(&table, &module, &patterns, false);
@@ -208,10 +208,9 @@ fn main() {
     );
     println!("{:<24} {:>14} {:>14} {:>8}", "einsum", "predicted", "measured", "ratio");
     let mut rows = Vec::new();
-    for d in &decisions {
-        // Decompose only this pattern, with its chosen direction mode.
-        let opts = DecomposeOptions { bidirectional: d.bidirectional, ..options };
-        let (out, _, analysis) = decompose(&module, &[(d.pattern, opts)]);
+    for (d, plan) in &decisions {
+        // Decompose only this pattern, on the plan the gate priced.
+        let (out, _, analysis) = decompose(&module, std::slice::from_ref(plan));
         let fused = fuse(out, &analysis, &FusionOptions::default());
         let table = or_exit(CostTable::new(&fused, &machine), "cost the single-pattern rewrite");
         let order = schedule_bottom_up(&table, &analysis, &fused, &machine, None);

@@ -24,7 +24,7 @@ use overlap_bench::{
 };
 use overlap_core::{
     artifact_key, decompose, find_patterns, fuse, schedule_bottom_up, ArtifactCache,
-    CostModel, DecomposeOptions, OverlapOptions, OverlapPipeline, PhaseTimings, StrategySpec,
+    CostModel, OverlapOptions, OverlapPipeline, PhaseTimings, StrategySpec,
 };
 use overlap_hlo::{
     Builder, DType, DotDims, InstrId, Module, ModuleAnalysis, ReplicaGroups, Shape, WireFormat,
@@ -905,19 +905,13 @@ fn legacy_compile(
     module.verify().expect("verified input");
     let patterns = find_patterns(module, &ModuleAnalysis::of(module));
     let table = CostTable::new(module, machine).expect("cost table");
-    let cost_model = CostModel::with_strategy(machine, &options.strategy);
-    let decisions = cost_model.select(&table, module, &patterns, !options.disable_cost_gate);
-    let selected: Vec<_> = decisions
-        .iter()
-        .map(|d| {
-            let opts = DecomposeOptions {
-                bidirectional: d.bidirectional,
-                ..options.decompose_for(&d.pattern.kind)
-            };
-            (d.pattern, opts)
-        })
+    let cost_model = CostModel::new(machine, &options.strategy);
+    let plans: Vec<_> = cost_model
+        .select(&table, module, &patterns, !options.disable_cost_gate)
+        .into_iter()
+        .map(|(_, plan)| plan)
         .collect();
-    let (decomposed, _summaries, _) = decompose(module, &selected);
+    let (decomposed, _summaries, _) = decompose(module, &plans);
     let final_module = match options.fusion_options() {
         Some(fopts) => {
             let mut analysis = ModuleAnalysis::of(&decomposed);

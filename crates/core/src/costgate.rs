@@ -22,8 +22,9 @@ use overlap_hlo::{InstrId, Module, Op, WireFormat};
 use overlap_mesh::{cost as ccost, FaultSpec, Machine};
 use overlap_sim::{einsum_cost_key, CostTable, FaultModel, InstrCost, SimError};
 
-use crate::decompose::DecomposeOptions;
 use crate::pattern::{Pattern, PatternKind};
+use crate::plan::LoopPlan;
+use crate::strategy::{PatternStrategy, RingDirection, StrategySpec};
 
 /// Outcome of evaluating one pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +104,15 @@ impl FaultGateAdjust {
         })
     }
 
-    /// Re-evaluates one pristine decision under the fault model. The
-    /// returned decision carries the stretched terms and a re-derived
-    /// `beneficial` flag; the pattern and transfer direction are kept.
+    /// Re-evaluates one pristine decision, priced on `plan`, under the
+    /// fault model. The returned decision carries the stretched terms and
+    /// a re-derived `beneficial` flag; the pattern and transfer direction
+    /// are kept.
     #[must_use]
-    pub fn adjust(&self, module: &Module, d: &GateDecision) -> GateDecision {
-        let steps = ring_steps(module, d);
+    pub fn adjust(&self, plan: &LoopPlan, d: &GateDecision) -> GateDecision {
+        // Every priced ring step, plus the bidirectional prologue/epilogue
+        // shift.
+        let steps = plan.steps + usize::from(plan.bidirectional);
         let comp_t = d.comp_t * self.compute_factor;
         let comm_t = d.comm_t * self.collective_factor;
         let comm_t_ring =
@@ -129,85 +133,34 @@ impl FaultGateAdjust {
     }
 }
 
-/// Number of `CollectivePermute` steps the decomposed form of `d` issues
-/// (the §5.1 loop length, halved ±1 for the bidirectional variant).
-fn ring_steps(module: &Module, d: &GateDecision) -> usize {
-    let g = match module.instr(d.pattern.collective).op() {
-        Op::AllGather { groups, .. } | Op::ReduceScatter { groups, .. } => groups.group_size(),
-        _ => 1,
-    };
-    let is_rs = matches!(d.pattern.kind, PatternKind::EinsumReduceScatter { .. });
-    if d.bidirectional {
-        // g/2 loop steps plus the prologue/epilogue shard shift.
-        g / 2 + 1
-    } else if is_rs {
-        g
-    } else {
-        g.saturating_sub(1)
-    }
-}
-
 /// The enablement cost model (§5.5).
 ///
-/// Evaluating a pattern estimates the decomposed partial einsums via the
-/// machine's efficiency interpolation; the model memoizes those lookups
-/// per `(flops, m, n, k)` key (many patterns of one layer share partial
+/// Each candidate is priced on the [`LoopPlan`] the decompose pass would
+/// emit for it. Pricing estimates the partial einsums via the machine's
+/// efficiency interpolation; the model memoizes those lookups per
+/// `(flops, m, n, k)` key (many patterns of one layer share partial
 /// shapes), which is exact — a hit returns the identical bits.
 #[derive(Debug, Clone)]
 pub struct CostModel<'m> {
     machine: &'m Machine,
-    /// Options for `AllGather → Einsum` patterns.
-    ag_options: DecomposeOptions,
-    /// Options for `Einsum → ReduceScatter` patterns.
-    rs_options: DecomposeOptions,
+    strategy: StrategySpec,
     memo: RefCell<ccost::EinsumTimeMemo>,
 }
 
 impl<'m> CostModel<'m> {
-    /// Creates a cost model for the given machine and decomposition
-    /// options (bidirectional transfer halves `comm_t_ring` but adds a
-    /// prologue/epilogue permute to `extra_t`). Both pattern kinds use
-    /// the same options; [`CostModel::with_strategy`] prices them
-    /// separately.
+    /// A cost model pricing each pattern kind under its own `strategy`
+    /// knobs — exactly what the decompose pass will emit.
     #[must_use]
-    pub fn new(machine: &'m Machine, options: DecomposeOptions) -> Self {
-        CostModel {
-            machine,
-            ag_options: options,
-            rs_options: options,
-            memo: RefCell::new(ccost::EinsumTimeMemo::new()),
-        }
+    pub fn new(machine: &'m Machine, strategy: &StrategySpec) -> Self {
+        CostModel { machine, strategy: *strategy, memo: RefCell::new(ccost::EinsumTimeMemo::new()) }
     }
 
-    /// A cost model pricing each pattern kind under its own
-    /// [`StrategySpec`](crate::StrategySpec) knobs — exactly what the
-    /// decompose pass will emit, chunk widths included.
-    #[must_use]
-    pub fn with_strategy(machine: &'m Machine, strategy: &crate::StrategySpec) -> Self {
-        CostModel {
-            machine,
-            ag_options: strategy.all_gather.decompose_options(),
-            rs_options: strategy.reduce_scatter.decompose_options(),
-            memo: RefCell::new(ccost::EinsumTimeMemo::new()),
-        }
-    }
-
-    /// The option set governing `pattern`'s kind.
-    fn options_for(&self, pattern: &Pattern) -> DecomposeOptions {
+    /// The knobs governing `pattern`'s kind.
+    fn knobs(&self, pattern: &Pattern) -> &PatternStrategy {
         match pattern.kind {
-            PatternKind::AllGatherEinsum { .. } => self.ag_options,
-            PatternKind::EinsumReduceScatter { .. } => self.rs_options,
+            PatternKind::AllGatherEinsum { .. } => &self.strategy.all_gather,
+            PatternKind::EinsumReduceScatter { .. } => &self.strategy.reduce_scatter,
         }
-    }
-
-    fn partial_einsum_time(
-        &self,
-        dims: &overlap_hlo::DotDims,
-        lhs: &overlap_hlo::Shape,
-        rhs: &overlap_hlo::Shape,
-    ) -> f64 {
-        let (flops, m, n, k) = einsum_cost_key(dims, lhs, rhs);
-        self.memo.borrow_mut().time(self.machine, flops, m, n, k)
     }
 
     fn einsum_time_of(cost: InstrCost) -> f64 {
@@ -221,103 +174,6 @@ impl<'m> CostModel<'m> {
         match cost {
             InstrCost::SyncCollective { seconds } => seconds,
             _ => 0.0,
-        }
-    }
-
-    /// Total compute time of the decomposed form: the sum of the partial
-    /// einsums' costs, including the efficiency loss of the smaller
-    /// per-partial extents and the per-kernel launch overhead. This is
-    /// what makes the gate reject decompositions whose partials are too
-    /// small to run efficiently (the regime the paper's narrow models hit).
-    fn decomposed_comp_time(
-        &self,
-        module: &Module,
-        pattern: &Pattern,
-        bidi: bool,
-        chunk: usize,
-    ) -> f64 {
-        let einsum = module.instr(pattern.einsum);
-        let Op::Einsum(dims) = einsum.op() else { unreachable!("pattern einsum") };
-        let lhs = module.shape_of(einsum.operands()[0]).clone();
-        let rhs = module.shape_of(einsum.operands()[1]).clone();
-        match pattern.kind {
-            PatternKind::AllGatherEinsum { gathered_is_lhs, case } => {
-                let Op::AllGather { dim, groups, .. } = module.instr(pattern.collective).op()
-                else {
-                    unreachable!("pattern collective")
-                };
-                let g = groups.group_size();
-                // Bidirectional non-contracting partials are double-width;
-                // chunked unidirectional loops batch `chunk` shards into
-                // one wide partial per super-step.
-                let (count, width) = if bidi && case != crate::AgCase::Contracting {
-                    (g / 2, 2)
-                } else if !bidi && chunk > 1 {
-                    (g / chunk, chunk)
-                } else {
-                    (g, 1)
-                };
-                let shard = module
-                    .shape_of(module.instr(pattern.collective).operands()[0])
-                    .dim(*dim)
-                    * width;
-                let (plhs, prhs) = if gathered_is_lhs {
-                    (lhs.with_dim(*dim, shard), rhs.clone())
-                } else {
-                    (lhs.clone(), rhs.with_dim(*dim, shard))
-                };
-                // Cases 2/3 also slice the other operand, but that does not
-                // change the per-partial flops beyond the sliced dim, which
-                // the paired-dimension constraint already captures: for the
-                // contracting/batch cases slice the paired dim too.
-                let (plhs, prhs) = match case {
-                    crate::AgCase::Free => (plhs, prhs),
-                    crate::AgCase::Contracting | crate::AgCase::Batch => {
-                        if gathered_is_lhs {
-                            let od = dims
-                                .rhs_dim_paired_with(*dim)
-                                .expect("paired dimension");
-                            let p = prhs.with_dim(od, shard);
-                            (plhs, p)
-                        } else {
-                            let od = dims
-                                .lhs_dim_paired_with(*dim)
-                                .expect("paired dimension");
-                            let p = plhs.with_dim(od, shard);
-                            (p, prhs)
-                        }
-                    }
-                };
-                count as f64 * self.partial_einsum_time(dims, &plhs, &prhs)
-            }
-            PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim } => {
-                let Op::ReduceScatter { groups, .. } = module.instr(pattern.collective).op()
-                else {
-                    unreachable!("pattern collective")
-                };
-                let g = groups.group_size();
-                let (plhs, prhs) = if sliced_is_lhs {
-                    (lhs.with_dim_divided(sliced_dim, g), rhs)
-                } else {
-                    (lhs, rhs.with_dim_divided(sliced_dim, g))
-                };
-                g as f64 * self.partial_einsum_time(dims, &plhs, &prhs)
-            }
-        }
-    }
-
-    /// Per-iteration shard circulated by the decomposed form.
-    fn shard_shape<'a>(&self, module: &'a Module, pattern: &Pattern) -> &'a overlap_hlo::Shape {
-        match pattern.kind {
-            PatternKind::AllGatherEinsum { .. } => {
-                // The gathered operand's local shard circulates.
-                let src = module.instr(pattern.collective).operands()[0];
-                module.shape_of(src)
-            }
-            PatternKind::EinsumReduceScatter { .. } => {
-                // The scattered accumulator circulates.
-                module.shape_of(pattern.collective)
-            }
         }
     }
 
@@ -335,43 +191,48 @@ impl<'m> CostModel<'m> {
         (wire.wire_bytes(elems, eb), codec)
     }
 
-    /// Evaluates the §5.5 inequality for one pattern: when the options
-    /// allow bidirectional transfer, both the bidirectional and the
-    /// unidirectional forms are estimated and the better one is chosen.
+    /// Evaluates the §5.5 inequality for one pattern: when the strategy
+    /// asks for a bidirectional ring the group allows, both the
+    /// bidirectional and the unidirectional loops are priced and the
+    /// better one is chosen. Returns the verdict beside the winning plan.
     /// The original einsum/collective times are looked up in `table`,
     /// built for this `(module, machine)` pair.
     #[must_use]
-    pub fn evaluate(&self, table: &CostTable, module: &Module, pattern: &Pattern) -> GateDecision {
-        let uni = self.evaluate_variant(table, module, pattern, false);
-        if !self.options_for(pattern).bidirectional {
-            return uni;
+    pub fn evaluate(
+        &self,
+        table: &CostTable,
+        module: &Module,
+        pattern: &Pattern,
+    ) -> (GateDecision, LoopPlan) {
+        let knobs = self.knobs(pattern);
+        let requested = LoopPlan::new(module, pattern, knobs, knobs.ring);
+        let requested = self.price(table, module, requested);
+        // A unidirectional request, or an odd group whose plan already
+        // fell back to one direction, leaves nothing to compare.
+        if !requested.1.bidirectional {
+            return requested;
         }
-        let bidi = self.evaluate_variant(table, module, pattern, true);
-        if bidi.net_benefit() >= uni.net_benefit() {
-            bidi
+        let uni = LoopPlan::new(module, pattern, knobs, RingDirection::Unidirectional);
+        let uni = self.price(table, module, uni);
+        if requested.0.net_benefit() >= uni.0.net_benefit() {
+            requested
         } else {
             uni
         }
     }
 
-    /// Evaluates one pattern with the bidirectional form forced on or off.
-    fn evaluate_variant(
+    /// Prices one plan.
+    fn price(
         &self,
         table: &CostTable,
         module: &Module,
-        pattern: &Pattern,
-        bidirectional: bool,
-    ) -> GateDecision {
+        plan: LoopPlan,
+    ) -> (GateDecision, LoopPlan) {
+        let pattern = &plan.pattern;
         let comp_t = Self::einsum_time_of(table.cost(pattern.einsum));
-        let groups = match module.instr(pattern.collective).op() {
-            Op::AllGather { groups, .. } | Op::ReduceScatter { groups, .. } => groups.clone(),
-            _ => unreachable!("pattern collective is AG or RS"),
-        };
-        let g = groups.group_size();
+        let g = plan.group_size;
         let is_rs = matches!(pattern.kind, PatternKind::EinsumReduceScatter { .. });
-        let loop_steps = if is_rs { g } else { g - 1 };
-
-        let wire = self.options_for(pattern).wire;
+        let wire = plan.wire;
         // The alternative to decomposing is the collective the pipeline
         // will actually keep — under a quantized strategy that kept
         // collective is itself annotated with the wire format, so price
@@ -389,18 +250,9 @@ impl<'m> CostModel<'m> {
         };
         // Decomposed side: the circulated shard shrinks to its wire size
         // and every ring step pays one codec sweep (zero when lossless).
-        let (shard, step_codec) = self.wired(wire, self.shard_shape(module, pattern));
-
-        let bidi = bidirectional && g % 2 == 0;
-        // Price exactly the loop the decompose pass will emit: the chunk
-        // width shares its feasibility rule with the emission.
-        let chunk = if is_rs {
-            1
-        } else {
-            crate::decompose::effective_ag_chunk(&self.options_for(pattern), bidi, g).0
-        };
-        let (comm_t_ring, extra_t) = if bidi {
-            let steps = g / 2;
+        let (shard, step_codec) = self.wired(wire, &plan.shard);
+        let steps = plan.steps;
+        let (comm_t_ring, extra_t) = if plan.bidirectional {
             let ring = ccost::decomposed_bidi_ring_time(self.machine, steps, shard)
                 + steps as f64 * step_codec;
             // Prologue (AllGather) or epilogue (ReduceScatter) shift of one
@@ -409,22 +261,28 @@ impl<'m> CostModel<'m> {
             (ring, extra)
         } else {
             (
-                ccost::decomposed_ring_time(self.machine, loop_steps, shard)
-                    + loop_steps as f64 * step_codec,
+                ccost::decomposed_ring_time(self.machine, steps, shard)
+                    + steps as f64 * step_codec,
                 0.0,
             )
         };
-        // The decomposed side computes `g` partial einsums whose smaller
-        // extents may run less efficiently and each pays a kernel launch;
-        // the portion of that compute which actually overlaps wire time
+        // The decomposed side computes the plan's partial einsums, whose
+        // smaller extents may run less efficiently (the regime the
+        // paper's narrow models hit) and each pay a kernel launch; the
+        // portion of that compute which actually overlaps wire time
         // additionally pays the DMA interference slowdown. Compare against
         // that, not the original `comp_t`.
-        let comp_d_raw = self.decomposed_comp_time(module, pattern, bidi, chunk);
+        let Op::Einsum(dims) = module.instr(pattern.einsum).op() else {
+            unreachable!("pattern einsum")
+        };
+        let (flops, m, n, k) = einsum_cost_key(dims, &plan.partial_lhs, &plan.partial_rhs);
+        let partial_t = self.memo.borrow_mut().time(self.machine, flops, m, n, k);
+        let comp_d_raw = plan.partials as f64 * partial_t;
         let comp_d = comp_d_raw
             + self.machine.dma_interference() * comp_d_raw.min(comm_t_ring);
 
         let beneficial = comp_t + comm_t >= comp_d.max(comm_t_ring) + extra_t;
-        GateDecision {
+        let decision = GateDecision {
             pattern: *pattern,
             comp_t,
             comm_t,
@@ -432,15 +290,17 @@ impl<'m> CostModel<'m> {
             extra_t,
             comp_d,
             beneficial,
-            bidirectional: bidi,
-        }
+            bidirectional: plan.bidirectional,
+        };
+        (decision, plan)
     }
 
     /// Selects the patterns to decompose: evaluates every candidate,
     /// resolves einsums with two candidates by the §5.5 rule (if the
     /// einsum is faster than both collectives, prefer the smaller shard —
     /// smaller unoverlapped residue; otherwise prefer the longer
-    /// collective), and keeps only beneficial ones.
+    /// collective), and keeps only beneficial ones, each beside the plan
+    /// it was priced on.
     ///
     /// When `gate` is `false` every candidate passes the benefit test (one
     /// pattern per einsum is still enforced) — used by ablation studies.
@@ -459,36 +319,32 @@ impl<'m> CostModel<'m> {
         module: &Module,
         patterns: &[Pattern],
         gate: bool,
-    ) -> Vec<GateDecision> {
+    ) -> Vec<(GateDecision, LoopPlan)> {
         if patterns.is_empty() {
             return Vec::new();
         }
         // `self` cannot cross threads (the memo is a RefCell), so each
-        // evaluation builds its own model from the shared machine+options.
-        let machine = self.machine;
-        let (ag_options, rs_options) = (self.ag_options, self.rs_options);
-        let decisions: Vec<GateDecision> = overlap_sim::par_map(patterns, |p| {
-            CostModel {
-                machine,
-                ag_options,
-                rs_options,
-                memo: RefCell::new(ccost::EinsumTimeMemo::new()),
-            }
-            .evaluate(table, module, p)
+        // evaluation builds its own model from the shared machine+strategy.
+        let (machine, strategy) = (self.machine, &self.strategy);
+        let verdicts = overlap_sim::par_map(patterns, |p| {
+            CostModel::new(machine, strategy).evaluate(table, module, p)
         });
-        Self::resolve(decisions, gate)
+        Self::resolve(verdicts, gate)
     }
 
     /// Applies the §5.5 one-pattern-per-einsum rule and (optionally) the
     /// benefit gate to a set of evaluated candidates. Decisions must be in
     /// pattern order — grouping keys on first appearance of each einsum.
-    fn resolve(decisions: Vec<GateDecision>, gate: bool) -> Vec<GateDecision> {
-        let mut by_einsum: Vec<(InstrId, Vec<GateDecision>)> = Vec::new();
-        for d in decisions {
-            let einsum = d.pattern.einsum;
+    fn resolve(
+        verdicts: Vec<(GateDecision, LoopPlan)>,
+        gate: bool,
+    ) -> Vec<(GateDecision, LoopPlan)> {
+        let mut by_einsum: Vec<(InstrId, Vec<(GateDecision, LoopPlan)>)> = Vec::new();
+        for v in verdicts {
+            let einsum = v.0.pattern.einsum;
             match by_einsum.iter_mut().find(|(e, _)| *e == einsum) {
-                Some((_, v)) => v.push(d),
-                None => by_einsum.push((einsum, vec![d])),
+                Some((_, c)) => c.push(v),
+                None => by_einsum.push((einsum, vec![v])),
             }
         }
         let mut selected = Vec::new();
@@ -503,13 +359,13 @@ impl<'m> CostModel<'m> {
                 candidates
                     .into_iter()
                     .max_by(|a, b| {
-                        a.net_benefit()
-                            .partial_cmp(&b.net_benefit())
+                        a.0.net_benefit()
+                            .partial_cmp(&b.0.net_benefit())
                             .expect("finite times")
                     })
                     .expect("non-empty")
             };
-            if !gate || pick.beneficial {
+            if !gate || pick.0.beneficial {
                 selected.push(pick);
             }
         }
@@ -529,8 +385,8 @@ mod tests {
         Shape::new(DType::F32, dims.to_vec())
     }
 
-    fn uni() -> DecomposeOptions {
-        DecomposeOptions { bidirectional: false, ..Default::default() }
+    fn uni() -> StrategySpec {
+        StrategySpec::paper_default().with_ring(RingDirection::Unidirectional)
     }
 
     fn ag_module(n: usize, b_sz: usize, f: usize, h: usize) -> Module {
@@ -548,10 +404,10 @@ mod tests {
         // collective saving still exceeds the DMA-interference tax.
         let m = ag_module(4, 8192, 4096, 4096);
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
-        let cm = CostModel::new(&machine, uni());
+        let cm = CostModel::new(&machine, &uni());
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
-        let d = cm.evaluate(&table, &m, &pats[0]);
+        let (d, _) = cm.evaluate(&table, &m, &pats[0]);
         assert!(d.beneficial, "large einsum should hide the ring: {d:?}");
         assert!(d.comp_t > d.comm_t_ring);
     }
@@ -568,10 +424,10 @@ mod tests {
         let e = b.einsum(x, g, DotDims::matmul(), "e");
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let cm = CostModel::new(&machine, uni());
+        let cm = CostModel::new(&machine, &uni());
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
-        let d = cm.evaluate(&table, &m, &pats[0]);
+        let (d, _) = cm.evaluate(&table, &m, &pats[0]);
         assert!(d.comm_t_ring > d.comp_t);
         assert!(!d.beneficial, "unhideable ring must be rejected: {d:?}");
     }
@@ -582,9 +438,9 @@ mod tests {
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
-        let du = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
-        let db = CostModel::new(&machine, DecomposeOptions::default());
-        let db = db.evaluate(&table, &m, &pats[0]);
+        let du = CostModel::new(&machine, &uni()).evaluate(&table, &m, &pats[0]).0;
+        let db = CostModel::new(&machine, &StrategySpec::paper_default());
+        let db = db.evaluate(&table, &m, &pats[0]).0;
         assert!(db.comm_t_ring < du.comm_t_ring);
         assert!(db.extra_t > 0.0);
         assert_eq!(du.extra_t, 0.0);
@@ -596,12 +452,10 @@ mod tests {
         let machine = Machine::with_mesh(DeviceMesh::ring(8));
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
-        let dense = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
-        let int8 = CostModel::new(
-            &machine,
-            DecomposeOptions { wire: WireFormat::int8(), ..uni() },
-        )
-        .evaluate(&table, &m, &pats[0]);
+        let dense = CostModel::new(&machine, &uni()).evaluate(&table, &m, &pats[0]).0;
+        let int8 = CostModel::new(&machine, &uni().with_wire(WireFormat::int8()))
+            .evaluate(&table, &m, &pats[0])
+            .0;
         // f32 payload on an int8-ish wire: both the kept collective and
         // the decomposed ring move ~4x fewer bytes, but each ring step
         // now pays a codec sweep, so the ring shrinks by less than 4x.
@@ -618,12 +472,10 @@ mod tests {
         let machine = Machine::with_mesh(DeviceMesh::ring(4));
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
-        let base = CostModel::new(&machine, uni()).evaluate(&table, &m, &pats[0]);
-        let annotated = CostModel::new(
-            &machine,
-            DecomposeOptions { wire: WireFormat::Lossless, ..uni() },
-        )
-        .evaluate(&table, &m, &pats[0]);
+        let base = CostModel::new(&machine, &uni()).evaluate(&table, &m, &pats[0]).0;
+        let annotated = CostModel::new(&machine, &uni().with_wire(WireFormat::Lossless))
+            .evaluate(&table, &m, &pats[0])
+            .0;
         assert_eq!(base.comm_t.to_bits(), annotated.comm_t.to_bits());
         assert_eq!(base.comm_t_ring.to_bits(), annotated.comm_t_ring.to_bits());
     }
@@ -639,7 +491,7 @@ mod tests {
         let e = b.einsum(gx, gw, DotDims::matmul(), "e");
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let cm = CostModel::new(&machine, uni());
+        let cm = CostModel::new(&machine, &uni());
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
         assert_eq!(pats.len(), 2);
@@ -666,8 +518,8 @@ mod tests {
         let pats = patterns_of(&m);
         assert!(pats.len() >= 2, "need several candidates");
         for gate in [false, true] {
-            for opts in [uni(), DecomposeOptions::default()] {
-                let cm = CostModel::new(&machine, opts);
+            for strategy in [uni(), StrategySpec::paper_default()] {
+                let cm = CostModel::new(&machine, &strategy);
                 let serial = CostModel::resolve(
                     pats.iter().map(|p| cm.evaluate(&table, &m, p)).collect(),
                     gate,
@@ -688,7 +540,7 @@ mod tests {
         let e = b.einsum(x, g, DotDims::matmul(), "e");
         let m = b.build(vec![e]);
         let machine = Machine::with_mesh(DeviceMesh::ring(n));
-        let cm = CostModel::new(&machine, uni());
+        let cm = CostModel::new(&machine, &uni());
         let pats = patterns_of(&m);
         let table = CostTable::new(&m, &machine).unwrap();
         assert!(cm.select(&table, &m, &pats, true).is_empty());
@@ -730,16 +582,18 @@ mod tests {
             let preset = if kind == 2 { Machine::gpu_cluster_like } else { Machine::tpu_v4_like };
             let fast = preset(n);
             let slow = fast.clone().with_link_bandwidth(fast.link_bandwidth() / 2.0);
-            let [cm, cm_slow] = [&fast, &slow].map(|mc| CostModel::new(mc, Default::default()));
+            let paper = StrategySpec::paper_default();
+            let [cm, cm_slow] = [&fast, &slow].map(|mc| CostModel::new(mc, &paper));
             let [table, slow_table] = [&fast, &slow].map(|mc| CostTable::new(&module, mc).unwrap());
             for p in &patterns_of(&module) {
-                let d = cm.evaluate(&table, &module, p);
-                let s = cm_slow.evaluate_variant(&slow_table, &module, p, d.bidirectional);
+                let (d, plan) = cm.evaluate(&table, &module, p);
+                let s = cm_slow.price(&slow_table, &module, plan).0;
                 proptest::prop_assert!(s.comm_t >= d.comm_t * (1.0 - 1e-9));
                 proptest::prop_assert!(s.comm_t_ring >= d.comm_t_ring * (1.0 - 1e-9));
                 proptest::prop_assert!(s.comp_t == d.comp_t);
-                for bidi in [false, true] {
-                    let v = cm.evaluate_variant(&table, &module, p, bidi);
+                for ring in [RingDirection::Unidirectional, RingDirection::Bidirectional] {
+                    let plan = LoopPlan::new(&module, p, &paper.all_gather, ring);
+                    let v = cm.price(&table, &module, plan).0;
                     proptest::prop_assert!(d.net_benefit() >= v.net_benefit() - 1e-15);
                 }
             }

@@ -26,77 +26,11 @@ use std::sync::Arc;
 
 use overlap_hlo::{
     Builder, DType, InstrId, Module, ModuleAnalysis, Op, PadDim, ReplicaGroups, Shape,
-    WireFormat,
 };
 use overlap_mesh::shift_pairs;
 
-use crate::pattern::{AgCase, Pattern, PatternKind};
-
-/// Options controlling the decomposition (the §5.4 optimizations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecomposeOptions {
-    /// Loop unrolling (§5.4.1): eliminates loop-carried copies and splits
-    /// the ReduceScatter accumulation into two interleaved chains.
-    /// Requires an even partition count; odd groups fall back to the
-    /// non-unrolled form.
-    pub unroll: bool,
-    /// Bidirectional transfer (§5.4.2): circulate half the shards in each
-    /// ring direction. Requires an even partition count; odd groups fall
-    /// back to unidirectional.
-    pub bidirectional: bool,
-    /// Rewrite the bidirectional operand concatenation as
-    /// `Max(PadLow, PadHigh)` (§5.4.3's fusion-friendly form).
-    pub pad_max_concat: bool,
-    /// Number of consecutive circulated shards joined into one wide
-    /// partial einsum per loop super-step (`1` = the paper's
-    /// shard-at-a-time loop). Applies only to the unidirectional
-    /// AllGather loop; the width must divide the group size and leave at
-    /// least two super-steps. Infeasible widths fall back to `1` with
-    /// the reason recorded in [`DecomposeSummary::chunk_fallback`].
-    pub chunk: usize,
-    /// Wire encoding for the ring's `CollectivePermute` steps. Shards are
-    /// encoded once at their source and decoded on receipt; `Lossless`
-    /// (the default) reproduces the paper's exact arithmetic.
-    pub wire: WireFormat,
-}
-
-impl Default for DecomposeOptions {
-    fn default() -> Self {
-        DecomposeOptions {
-            unroll: true,
-            bidirectional: true,
-            pad_max_concat: false,
-            chunk: 1,
-            wire: WireFormat::Lossless,
-        }
-    }
-}
-
-/// The chunk width the unidirectional AllGather loop will actually use
-/// for options `o` on a group of `g`, with the fallback reason when the
-/// requested width is dropped. Shared by the decompose emission and the
-/// cost model so the §5.5 gate prices exactly what will be emitted (and
-/// the autotuner can prune instead of wasting simulator calls).
-pub(crate) fn effective_ag_chunk(
-    options: &DecomposeOptions,
-    bidi: bool,
-    g: usize,
-) -> (usize, Option<String>) {
-    let c = options.chunk.max(1);
-    if c == 1 {
-        return (1, None);
-    }
-    if bidi {
-        return (1, Some("bidirectional ring already joins two shards per step; chunk ignored".into()));
-    }
-    if c >= g {
-        return (1, Some(format!("chunk {c} leaves no loop to overlap (group size {g})")));
-    }
-    if !g.is_multiple_of(c) {
-        return (1, Some(format!("chunk {c} does not divide the group size {g}")));
-    }
-    (c, None)
-}
+use crate::pattern::{AgCase, PatternKind};
+use crate::plan::{LoopGeometry, LoopPlan};
 
 /// What the decomposition did to one pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,14 +67,14 @@ pub(crate) const LCE_COMBINE_TAG: &str = "lce.combine";
 /// Tag on the circulating collective permutes.
 pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 
-/// Applies the looped collective-einsum rewrite to `selected` patterns,
-/// each with its own options (the pipeline's cost model chooses the
-/// bidirectional form per pattern).
+/// Applies the looped collective-einsum rewrite, emitting each
+/// [`LoopPlan`] (the pipeline's cost gate chooses one per selected
+/// pattern) and summarizing each loop from its plan.
 ///
-/// Patterns must come from [`find_patterns`](crate::find_patterns) on this
-/// very module and reference disjoint instructions (at most one pattern
-/// per einsum; the pipeline's cost gate guarantees this). All other
-/// instructions are copied unchanged, except that a synchronous
+/// Plans must come from patterns [`find_patterns`](crate::find_patterns)
+/// found on this very module and reference disjoint instructions (at most
+/// one pattern per einsum; the pipeline's cost gate guarantees this). All
+/// other instructions are copied unchanged, except that a synchronous
 /// `CollectivePermute` is split into its start/done pair too.
 ///
 /// Returns the transformed module, a per-pattern summary and the
@@ -154,7 +88,7 @@ pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 /// # Example
 ///
 /// ```
-/// use overlap_core::{decompose, find_patterns, DecomposeOptions};
+/// use overlap_core::{decompose, find_patterns, LoopPlan, PatternStrategy};
 /// use overlap_hlo::{Builder, DType, DotDims, ModuleAnalysis, Op, ReplicaGroups, Shape};
 ///
 /// let n = 4;
@@ -166,21 +100,22 @@ pub(crate) const LCE_CP_TAG: &str = "lce.cp";
 /// let m = b.build(vec![y]);
 ///
 /// let patterns = find_patterns(&m, &ModuleAnalysis::of(&m));
-/// let (out, summaries, _) = decompose(&m, &[(patterns[0], DecomposeOptions::default())]);
+/// let knobs = PatternStrategy::default();
+/// let plan = LoopPlan::new(&m, &patterns[0], &knobs, knobs.ring);
+/// let (out, summaries, _) = decompose(&m, &[plan]);
 /// assert_eq!(summaries[0].partial_einsums, 2); // bidirectional: N/2 double-width
 /// assert_eq!(out.count_live(|i| matches!(i.op(), Op::AllGather { .. })), 0);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if a pattern references instructions that do not form the
-/// expected shape (i.e. was not produced by `find_patterns` on `module`).
+/// Panics if a plan's pattern does not match `module`.
 #[must_use]
 pub fn decompose(
     module: &Module,
-    selected: &[(Pattern, DecomposeOptions)],
+    plans: &[LoopPlan],
 ) -> (Module, Vec<DecomposeSummary>, ModuleAnalysis) {
-    decompose_impl(module, selected, true)
+    decompose_impl(module, plans, true)
 }
 
 /// The rewrite proper. Without `value_number` the builder appends every
@@ -188,7 +123,7 @@ pub fn decompose(
 /// reference the value-numbered one must match after CSE.
 fn decompose_impl(
     module: &Module,
-    selected: &[(Pattern, DecomposeOptions)],
+    plans: &[LoopPlan],
     value_number: bool,
 ) -> (Module, Vec<DecomposeSummary>, ModuleAnalysis) {
     let mut b = Builder::new(module.name().to_string(), module.num_partitions());
@@ -199,33 +134,27 @@ fn decompose_impl(
     let mut summaries = Vec::new();
     let mut ring = RingPairs::default();
 
-    // Index patterns by the instruction at which we emit the loop: the
+    // Index plans by the instruction at which we emit the loop: the
     // einsum for AllGather patterns, the ReduceScatter for RS patterns.
     let mut skip = vec![false; module.len()];
-    let mut emit_at: Vec<Option<&(Pattern, DecomposeOptions)>> = vec![None; module.len()];
-    for item in selected {
-        let p = &item.0;
-        match p.kind {
-            PatternKind::AllGatherEinsum { .. } => {
-                skip[p.collective.index()] = true;
-                emit_at[p.einsum.index()] = Some(item);
-            }
-            PatternKind::EinsumReduceScatter { .. } => {
-                skip[p.einsum.index()] = true;
-                emit_at[p.collective.index()] = Some(item);
-            }
-        }
+    let mut emit_at: Vec<Option<&LoopPlan>> = vec![None; module.len()];
+    for plan in plans {
+        let p = &plan.pattern;
+        let (consumed, at) = match p.kind {
+            PatternKind::AllGatherEinsum { .. } => (p.collective, p.einsum),
+            PatternKind::EinsumReduceScatter { .. } => (p.einsum, p.collective),
+        };
+        skip[consumed.index()] = true;
+        emit_at[at.index()] = Some(plan);
     }
 
     for (id, ins) in module.iter() {
         if skip[id.index()] {
             continue;
         }
-        if let Some((pattern, options)) = emit_at[id.index()] {
-            let (result, summary) =
-                emit_pattern(&mut b, &mut ring, module, pattern, options, &map);
-            map[id.index()] = Some(result);
-            summaries.push(summary);
+        if let Some(plan) = emit_at[id.index()] {
+            map[id.index()] = Some(emit_pattern(&mut b, &mut ring, module, plan, &map));
+            summaries.push(summary(module, plan));
             continue;
         }
         let operands: Vec<InstrId> = ins
@@ -254,6 +183,22 @@ fn decompose_impl(
     (rewritten, summaries, analysis)
 }
 
+/// What `plan` emits, as recorded in the compile artifact.
+fn summary(module: &Module, plan: &LoopPlan) -> DecomposeSummary {
+    DecomposeSummary {
+        einsum: module.instr(plan.pattern.einsum).name().to_string(),
+        group_size: plan.group_size,
+        partial_einsums: plan.partials,
+        permutes: plan.permutes,
+        bidirectional: plan.bidirectional,
+        unrolled: plan.unroll,
+        chunk: plan.chunk,
+        unroll_fallback: plan.unroll_fallback.clone(),
+        bidirectional_fallback: plan.bidirectional_fallback.clone(),
+        chunk_fallback: plan.chunk_fallback.clone(),
+    }
+}
+
 type Pairs = Arc<[(u32, u32)]>;
 
 /// One pair list per (replica groups, ring step) for the whole call: §5.1
@@ -274,7 +219,8 @@ impl RingPairs {
 
 /// Per-pattern loop emission context: group bookkeeping plus the scalar
 /// index-arithmetic instructions shared by all iterations.
-struct LoopCtx {
+struct LoopCtx<'a> {
+    groups: &'a ReplicaGroups,
     g: usize,
     /// This device's rank within its replica group (`u32` scalar), looked
     /// up from a partition-id-indexed constant table.
@@ -284,8 +230,8 @@ struct LoopCtx {
     g_const: InstrId,
 }
 
-impl LoopCtx {
-    fn new(b: &mut Builder, groups: &ReplicaGroups, num_partitions: usize) -> Self {
+impl<'a> LoopCtx<'a> {
+    fn new(b: &mut Builder, groups: &'a ReplicaGroups, g: usize, num_partitions: usize) -> Self {
         // Verified groups cover every partition exactly once.
         let mut table_vals = vec![0.0; num_partitions];
         for group in groups.groups() {
@@ -302,9 +248,8 @@ impl LoopCtx {
         let rank1 = b.dynamic_slice(table, &[pid], vec![1], "lce.rank1");
         let rank = b.reshape(rank1, vec![], "lce.rank");
         let zero = b.constant(Shape::scalar(DType::U32), 0.0, "lce.zero");
-        let g_const =
-            b.constant(Shape::scalar(DType::U32), groups.group_size() as f64, "lce.g");
-        LoopCtx { g: groups.group_size(), rank, zero, g_const }
+        let g_const = b.constant(Shape::scalar(DType::U32), g as f64, "lce.g");
+        LoopCtx { groups, g, rank, zero, g_const }
     }
 
     /// `(rank + delta) mod g` as a `u32` scalar (delta normalized into
@@ -336,16 +281,14 @@ fn ring_step(
     b: &mut Builder,
     value: InstrId,
     pairs: &Pairs,
-    options: &DecomposeOptions,
+    plan: &LoopPlan,
     name: &str,
-    permutes: &mut usize,
 ) -> InstrId {
     b.set_tag(Some(LCE_CP_TAG));
     let sent =
-        b.collective_permute_async(value, Arc::clone(pairs), options.wire, &format!("{name}.cp"));
-    *permutes += 1;
+        b.collective_permute_async(value, Arc::clone(pairs), plan.wire, &format!("{name}.cp"));
     b.set_tag(Some(LCE_TAG));
-    if options.unroll {
+    if plan.unroll {
         sent
     } else {
         b.copy(sent, &format!("{name}.loop_copy"))
@@ -356,18 +299,18 @@ fn emit_pattern(
     b: &mut Builder,
     ring: &mut RingPairs,
     module: &Module,
-    pattern: &Pattern,
-    options: &DecomposeOptions,
+    plan: &LoopPlan,
     map: &[Option<InstrId>],
-) -> (InstrId, DecomposeSummary) {
+) -> InstrId {
+    let collective = module.instr(plan.pattern.collective);
+    let (Op::AllGather { groups, .. } | Op::ReduceScatter { groups, .. }) = collective.op() else {
+        unreachable!("plans are built on AllGather/ReduceScatter patterns")
+    };
     b.set_tag(Some(LCE_TAG));
-    let result = match pattern.kind {
-        PatternKind::AllGatherEinsum { gathered_is_lhs, case } => {
-            emit_ag_einsum(b, ring, module, pattern, gathered_is_lhs, case, options, map)
-        }
-        PatternKind::EinsumReduceScatter { sliced_is_lhs, sliced_dim } => {
-            emit_einsum_rs(b, ring, module, pattern, sliced_is_lhs, sliced_dim, options, map)
-        }
+    let ctx = LoopCtx::new(b, groups, plan.group_size, module.num_partitions());
+    let result = match plan.geometry {
+        LoopGeometry::AllGather { .. } => emit_ag_einsum(b, ring, module, plan, &ctx, map),
+        LoopGeometry::ReduceScatter { .. } => emit_einsum_rs(b, ring, module, plan, &ctx, map),
     };
     b.set_tag(None);
     result
@@ -437,93 +380,24 @@ fn emit_join_many(
     acc.expect("emit_join_many needs at least one part")
 }
 
-#[derive(Debug, Clone, Copy)]
-struct AgGeometry {
-    /// Gathered-operand dimension being circulated.
-    gather_dim: usize,
-    /// Shard size along that dimension.
-    shard: usize,
-    /// For case 2/3: the other operand's paired dimension to slice.
-    other_dim: Option<usize>,
-    /// For case 1/3: the output dimension to update.
-    out_dim: Option<usize>,
-}
-
-fn ag_geometry(
-    module: &Module,
-    pattern: &Pattern,
-    gathered_is_lhs: bool,
-    case: AgCase,
-) -> AgGeometry {
-    let einsum = module.instr(pattern.einsum);
-    let Op::Einsum(dims) = einsum.op() else { panic!("pattern einsum is not an einsum") };
-    let Op::AllGather { dim: gather_dim, .. } = module.instr(pattern.collective).op() else {
-        panic!("pattern collective is not an all-gather")
-    };
-    let gather_dim = *gather_dim;
-    let shard_shape = module.shape_of(module.instr(pattern.collective).operands()[0]);
-    let shard = shard_shape.dim(gather_dim);
-    let lhs_rank = module.shape_of(einsum.operands()[0]).rank();
-    let rhs_rank = module.shape_of(einsum.operands()[1]).rank();
-
-    let (other_dim, out_dim) = match case {
-        AgCase::Free => {
-            let out_dim = if gathered_is_lhs {
-                dims.output_dim_of_lhs_free(lhs_rank, gather_dim)
-            } else {
-                dims.output_dim_of_rhs_free(lhs_rank, rhs_rank, gather_dim)
-            };
-            (None, Some(out_dim.expect("free dim maps to output")))
-        }
-        AgCase::Contracting => {
-            let other = if gathered_is_lhs {
-                dims.rhs_dim_paired_with(gather_dim)
-            } else {
-                dims.lhs_dim_paired_with(gather_dim)
-            };
-            (Some(other.expect("contracting dim is paired")), None)
-        }
-        AgCase::Batch => {
-            let (other, batch_index) = if gathered_is_lhs {
-                let i = dims
-                    .batch()
-                    .iter()
-                    .position(|&(l, _)| l == gather_dim)
-                    .expect("batch dim is paired");
-                (dims.batch()[i].1, i)
-            } else {
-                let i = dims
-                    .batch()
-                    .iter()
-                    .position(|&(_, r)| r == gather_dim)
-                    .expect("batch dim is paired");
-                (dims.batch()[i].0, i)
-            };
-            (Some(other), Some(batch_index))
-        }
-    };
-    AgGeometry { gather_dim, shard, other_dim, out_dim }
-}
-
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn emit_ag_einsum(
     b: &mut Builder,
     ring: &mut RingPairs,
     module: &Module,
-    pattern: &Pattern,
-    gathered_is_lhs: bool,
-    case: AgCase,
-    options: &DecomposeOptions,
+    plan: &LoopPlan,
+    ctx: &LoopCtx,
     map: &[Option<InstrId>],
-) -> (InstrId, DecomposeSummary) {
-    let einsum = module.instr(pattern.einsum);
-    let Op::Einsum(dims) = einsum.op().clone() else { unreachable!() };
-    let Op::AllGather { groups, .. } = module.instr(pattern.collective).op().clone() else {
-        unreachable!()
+) -> InstrId {
+    let LoopGeometry::AllGather { gathered_is_lhs, case, gather_dim, shard, other_dim, out_dim } =
+        plan.geometry
+    else {
+        unreachable!("AllGather plan")
     };
-    let geom = ag_geometry(module, pattern, gathered_is_lhs, case);
-    let out_shape = einsum.shape().clone();
-    let name = einsum.name().to_string();
+    let pattern = &plan.pattern;
+    let einsum = module.instr(pattern.einsum);
+    let Op::Einsum(dims) = einsum.op() else { unreachable!("pattern einsum") };
+    let name = einsum.name();
+    let (g, chunk) = (plan.group_size, plan.chunk);
 
     // Mapped local inputs.
     let gathered_src = module.instr(pattern.collective).operands()[0];
@@ -531,27 +405,18 @@ fn emit_ag_einsum(
     let other_src = if gathered_is_lhs { einsum.operands()[1] } else { einsum.operands()[0] };
     let other = map[other_src.index()].expect("other operand mapped");
 
-    let ctx = LoopCtx::new(b, &groups, module.num_partitions());
-    let g = ctx.g;
-    let bidi = options.bidirectional && g.is_multiple_of(2) && g >= 2;
-    let bidirectional_fallback = (options.bidirectional && !bidi)
-        .then(|| format!("bidirectional ring needs an even group (group size {g})"));
-    let (chunk, chunk_fallback) = effective_ag_chunk(options, bidi, g);
-    let mut permutes = 0usize;
-    let mut partials = 0usize;
-
     // Slice of the non-circulating operand matching the shard with index
     // expression `(rank + delta) mod g` (cases 2 and 3; case 1 uses the
     // whole operand).
     let slice_other = |b: &mut Builder, delta: i64| -> InstrId {
-        let od = geom.other_dim.expect("slice only in cases 2/3");
-        let offset = ctx.offset(b, delta, geom.shard);
+        let od = other_dim.expect("slice only in cases 2/3");
+        let offset = ctx.offset(b, delta, shard);
         let sizes: Vec<usize> = b
             .shape_of(other)
             .dims()
             .iter()
             .enumerate()
-            .map(|(d, &s)| if d == od { geom.shard } else { s })
+            .map(|(d, &s)| if d == od { shard } else { s })
             .collect();
         let rank_count = b.shape_of(other).rank();
         let idx = ctx.index_vec(od, rank_count, offset);
@@ -562,7 +427,7 @@ fn emit_ag_einsum(
     // The partial einsum for the shard with index expression
     // `(rank + delta) mod g`, given the circulating shard value.
     let emit_partial = |b: &mut Builder, looped: InstrId, delta: i64| {
-        let other_used = match geom.other_dim {
+        let other_used = match other_dim {
             None => other,
             Some(_) => slice_other(b, delta),
         };
@@ -577,14 +442,9 @@ fn emit_ag_einsum(
     };
 
     // Combine a partial into the result.
-    let combine = |b: &mut Builder,
-                   ctx: &LoopCtx,
-                   result: InstrId,
-                   partial: InstrId,
-                   delta: i64|
-     -> InstrId {
+    let combine = |b: &mut Builder, result: InstrId, partial: InstrId, delta: i64| -> InstrId {
         b.set_tag(Some(LCE_COMBINE_TAG));
-        let combined = match geom.out_dim {
+        let combined = match out_dim {
             None => b.add(result, partial, &format!("{name}.acc")),
             Some(out_dim) => {
                 let out_shard = b.shape_of(partial).dim(out_dim);
@@ -598,53 +458,44 @@ fn emit_ag_einsum(
         combined
     };
 
-    let cp = |b: &mut Builder, value: InstrId, pairs: &Pairs, permutes: &mut usize| {
-        ring_step(b, value, pairs, options, &name, permutes)
-    };
+    let cp =
+        |b: &mut Builder, value: InstrId, pairs: &Pairs| ring_step(b, value, pairs, plan, name);
 
-    let mut result = b.zeros(out_shape.clone(), &format!("{name}.init"));
-    // Case 2 accumulates into a zero buffer via Add; for the einsum output
-    // to match, start from zeros of the einsum's (local) output shape —
-    // identical to `out_shape` in all cases.
+    // Every case builds the einsum's (local) output up from zeros.
+    let mut result = b.zeros(einsum.shape().clone(), &format!("{name}.init"));
 
-    if !bidi && chunk == 1 {
-        let back = ring.get(&groups, -1);
+    if !plan.bidirectional && chunk == 1 {
+        let back = ring.get(ctx.groups, -1);
         let mut looped = looped0;
         for i in 0..g {
             let partial = emit_partial(b, looped, i as i64);
-            partials += 1;
             if i + 1 < g {
-                looped = cp(b, looped, &back, &mut permutes);
+                looped = cp(b, looped, &back);
             }
-            result = combine(b, &ctx, result, partial, i as i64);
+            result = combine(b, result, partial, i as i64);
         }
-    } else if !bidi {
+    } else if !plan.bidirectional {
         // Chunked unidirectional loop: shards still circulate one hop at
         // a time (permute count unchanged at g-1), but every `chunk`
         // arrivals are joined into one wide partial einsum — g/chunk
         // partials of `chunk` shards each, trading per-kernel launch
         // overhead for coarser overlap granularity.
-        let back = ring.get(&groups, -1);
+        let back = ring.get(ctx.groups, -1);
         let mut looped = looped0;
         let mut window: Vec<InstrId> = Vec::with_capacity(chunk);
         for i in 0..g {
             window.push(looped);
             if i + 1 < g {
-                looped = cp(b, looped, &back, &mut permutes);
+                looped = cp(b, looped, &back);
             }
             if window.len() < chunk {
                 continue;
             }
             // Delta of the window's first shard.
             let d0 = (i + 1 - chunk) as i64;
-            let joined = emit_join_many(
-                b,
-                &window,
-                geom.gather_dim,
-                options.pad_max_concat,
-                &format!("{name}.join"),
-            );
-            let other_used = match geom.other_dim {
+            let join = format!("{name}.join");
+            let joined = emit_join_many(b, &window, gather_dim, plan.pad_max_concat, &join);
+            let other_used = match other_dim {
                 None => other,
                 Some(od) => {
                     let slices: Vec<InstrId> =
@@ -659,11 +510,10 @@ fn emit_ag_einsum(
                 b.einsum(other_used, joined, dims.clone(), &format!("{name}.partialw"))
             };
             b.set_tag(Some(LCE_TAG));
-            partials += 1;
-            match geom.out_dim {
+            match out_dim {
                 // Contracting case: the wide einsum already sums over all
                 // `chunk` shards; one Add folds it in.
-                None => result = combine(b, &ctx, result, wide, d0),
+                None => result = combine(b, result, wide, d0),
                 Some(out_dim) => {
                     // The window's shards are contiguous in the wide
                     // partial but generally not in the (mod-g) output
@@ -678,7 +528,7 @@ fn emit_ag_einsum(
                         starts[out_dim] = k * piece;
                         limits[out_dim] = (k + 1) * piece;
                         let pk = b.slice(wide, starts, limits, &format!("{name}.piece"));
-                        result = combine(b, &ctx, result, pk, d0 + k as i64);
+                        result = combine(b, result, pk, d0 + k as i64);
                     }
                 }
             }
@@ -690,9 +540,9 @@ fn emit_ag_einsum(
         // {rank, rank-1}, then the two sets circulate in opposite
         // directions.
         let m = g / 2;
-        let (back, fwd) = (ring.get(&groups, -1), ring.get(&groups, 1));
+        let (back, fwd) = (ring.get(ctx.groups, -1), ring.get(ctx.groups, 1));
         let mut left = looped0;
-        let mut right = cp(b, looped0, &fwd, &mut permutes);
+        let mut right = cp(b, looped0, &fwd);
         for t in 0..m {
             let (dl, dr) = (t as i64, -1 - t as i64);
             if case == AgCase::Contracting {
@@ -700,24 +550,16 @@ fn emit_ag_einsum(
                 // accumulating adds (contributions are order-independent).
                 let pl = emit_partial(b, left, dl);
                 let pr = emit_partial(b, right, dr);
-                partials += 2;
-                result = combine(b, &ctx, result, pl, dl);
-                result = combine(b, &ctx, result, pr, dr);
+                result = combine(b, result, pl, dl);
+                result = combine(b, result, pr, dr);
             } else {
                 // Concatenate the two circulating shards (and, in the
                 // batch case, the matching slices of the other operand) so
                 // one double-width einsum covers both — the §5.4.2 trick
                 // that keeps per-iteration compute large.
-                let join_dim = geom.gather_dim;
-                let joined = emit_join(
-                    b,
-                    left,
-                    right,
-                    join_dim,
-                    options.pad_max_concat,
-                    &format!("{name}.join"),
-                );
-                let other_used = match geom.other_dim {
+                let join = format!("{name}.join");
+                let joined = emit_join(b, left, right, gather_dim, plan.pad_max_concat, &join);
+                let other_used = match other_dim {
                     None => other,
                     Some(od) => {
                         let sl = slice_other(b, dl);
@@ -737,8 +579,7 @@ fn emit_ag_einsum(
                     b.set_tag(Some(LCE_TAG));
                     p
                 };
-                partials += 1;
-                let out_dim = geom.out_dim.expect("free/batch case has an output dim");
+                let out_dim = out_dim.expect("free/batch case has an output dim");
                 let p2 = b.shape_of(partial2).clone();
                 let half = p2.dim(out_dim) / 2;
                 let mut starts = vec![0usize; p2.rank()];
@@ -748,75 +589,42 @@ fn emit_ag_einsum(
                 starts[out_dim] = half;
                 limits[out_dim] = 2 * half;
                 let pr = b.slice(partial2, starts, limits, &format!("{name}.hi"));
-                result = combine(b, &ctx, result, pl, dl);
-                result = combine(b, &ctx, result, pr, dr);
+                result = combine(b, result, pl, dl);
+                result = combine(b, result, pr, dr);
             }
             if t + 1 < m {
-                left = cp(b, left, &back, &mut permutes);
-                right = cp(b, right, &fwd, &mut permutes);
+                left = cp(b, left, &back);
+                right = cp(b, right, &fwd);
             }
         }
     }
-
-    let summary = DecomposeSummary {
-        einsum: name,
-        group_size: g,
-        partial_einsums: partials,
-        permutes,
-        bidirectional: bidi,
-        unrolled: options.unroll,
-        chunk,
-        unroll_fallback: None,
-        bidirectional_fallback,
-        chunk_fallback,
-    };
-    (result, summary)
+    result
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn emit_einsum_rs(
     b: &mut Builder,
     ring: &mut RingPairs,
     module: &Module,
-    pattern: &Pattern,
-    sliced_is_lhs: bool,
-    sliced_dim: usize,
-    options: &DecomposeOptions,
+    plan: &LoopPlan,
+    ctx: &LoopCtx,
     map: &[Option<InstrId>],
-) -> (InstrId, DecomposeSummary) {
-    let einsum = module.instr(pattern.einsum);
-    let Op::Einsum(dims) = einsum.op().clone() else { unreachable!() };
-    let rs = module.instr(pattern.collective);
-    let Op::ReduceScatter { groups, .. } = rs.op().clone() else { unreachable!() };
-    let name = einsum.name().to_string();
-    let shard_shape = rs.shape().clone();
-
+) -> InstrId {
+    let LoopGeometry::ReduceScatter { sliced_is_lhs, sliced_dim, owner_shard } = plan.geometry
+    else {
+        unreachable!("ReduceScatter plan")
+    };
+    let einsum = module.instr(plan.pattern.einsum);
+    let Op::Einsum(dims) = einsum.op() else { unreachable!("pattern einsum") };
+    let name = einsum.name();
+    let shard_shape = &plan.shard;
+    let g = plan.group_size;
 
     let lhs = map[einsum.operands()[0].index()].expect("mapped");
     let rhs = map[einsum.operands()[1].index()].expect("mapped");
     let (owner, other) = if sliced_is_lhs { (lhs, rhs) } else { (rhs, lhs) };
-    let owner_shard = b.shape_of(owner).dim(sliced_dim) / groups.group_size();
-
-    let ctx = LoopCtx::new(b, &groups, module.num_partitions());
-    let g = ctx.g;
-    let bidi = options.bidirectional && g.is_multiple_of(2);
-    let two_chain = options.unroll && g.is_multiple_of(2) && !bidi;
-    let bidirectional_fallback = (options.bidirectional && !bidi)
-        .then(|| format!("bidirectional ring needs an even group (group size {g})"));
-    // Unrolling still drops the loop-carried copies for odd groups, but
-    // the two-chain accumulation form (Fig. 8) needs an even group —
-    // record the partial fallback so the autotuner can prune.
-    let unroll_fallback = (options.unroll && !g.is_multiple_of(2))
-        .then(|| format!("two-chain unrolling needs an even group (group size {g})"));
-    let chunk_fallback = (options.chunk > 1).then(|| {
-        "reduce-scatter chains cannot chunk (each partial feeds a traveling accumulator)"
-            .to_string()
-    });
-    let mut permutes = 0usize;
-    let mut partials = 0usize;
 
     // Partial einsum for shard `(rank + delta) mod g`.
-    let mut emit_partial = |b: &mut Builder, delta: i64| -> InstrId {
+    let emit_partial = |b: &mut Builder, delta: i64| -> InstrId {
         let offset = ctx.offset(b, delta, owner_shard);
         let sizes: Vec<usize> = b
             .shape_of(owner)
@@ -836,13 +644,11 @@ fn emit_einsum_rs(
             b.einsum(other, sliced, dims.clone(), &format!("{name}.partial"))
         };
         b.set_tag(Some(LCE_TAG));
-        partials += 1;
         partial
     };
 
-    let cp = |b: &mut Builder, value: InstrId, pairs: &Pairs, permutes: &mut usize| {
-        ring_step(b, value, pairs, options, &name, permutes)
-    };
+    let cp =
+        |b: &mut Builder, value: InstrId, pairs: &Pairs| ring_step(b, value, pairs, plan, name);
 
     let acc_add = |b: &mut Builder, acc: InstrId, partial: InstrId| -> InstrId {
         b.set_tag(Some(LCE_COMBINE_TAG));
@@ -851,11 +657,11 @@ fn emit_einsum_rs(
         r
     };
 
-    let result = if bidi {
+    if plan.bidirectional {
         // Two accumulators travel in opposite directions (§5.4.2, Fig. 10);
         // the clockwise one is shifted once more in the epilogue and added.
         let m = g / 2;
-        let (back, fwd) = (ring.get(&groups, -1), ring.get(&groups, 1));
+        let (back, fwd) = (ring.get(ctx.groups, -1), ring.get(ctx.groups, 1));
         let mut acc_l = b.zeros(shard_shape.clone(), &format!("{name}.init_l"));
         let mut acc_r = b.zeros(shard_shape.clone(), &format!("{name}.init_r"));
         for t in 0..m {
@@ -864,21 +670,21 @@ fn emit_einsum_rs(
             let pl = emit_partial(b, dl);
             let pr = emit_partial(b, dr);
             if t > 0 {
-                acc_l = cp(b, acc_l, &back, &mut permutes);
-                acc_r = cp(b, acc_r, &fwd, &mut permutes);
+                acc_l = cp(b, acc_l, &back);
+                acc_r = cp(b, acc_r, &fwd);
             }
             acc_l = acc_add(b, acc_l, pl);
             acc_r = acc_add(b, acc_r, pr);
         }
-        let aligned = cp(b, acc_r, &fwd, &mut permutes);
+        let aligned = cp(b, acc_r, &fwd);
         acc_add(b, acc_l, aligned)
-    } else if two_chain {
+    } else if plan.two_chain {
         // Unrolled two-chain form (§5.4.1, Fig. 8): chain A accumulates
         // shards (rank + 2j + 2), chain B (rank + 2j + 3); both hop two
         // ring positions between contributions; the epilogue aligns chain
         // B with a single forward hop.
         let m = g / 2;
-        let (back2, fwd) = (ring.get(&groups, -2), ring.get(&groups, 1));
+        let (back2, fwd) = (ring.get(ctx.groups, -2), ring.get(ctx.groups, 1));
         let mut acc_a = b.zeros(shard_shape.clone(), &format!("{name}.init_a"));
         let mut acc_b = b.zeros(shard_shape.clone(), &format!("{name}.init_b"));
         for j in 0..m {
@@ -887,40 +693,26 @@ fn emit_einsum_rs(
             let pa = emit_partial(b, da);
             let pb = emit_partial(b, db);
             if j > 0 {
-                acc_a = cp(b, acc_a, &back2, &mut permutes);
-                acc_b = cp(b, acc_b, &back2, &mut permutes);
+                acc_a = cp(b, acc_a, &back2);
+                acc_b = cp(b, acc_b, &back2);
             }
             acc_a = acc_add(b, acc_a, pa);
             acc_b = acc_add(b, acc_b, pb);
         }
-        let aligned = cp(b, acc_b, &fwd, &mut permutes);
+        let aligned = cp(b, acc_b, &fwd);
         acc_add(b, acc_a, aligned)
     } else {
         // Single chain (Algorithm 1): the accumulator is transferred at
         // the start of every iteration and the partial added on arrival.
-        let back = ring.get(&groups, -1);
+        let back = ring.get(ctx.groups, -1);
         let mut acc = b.zeros(shard_shape.clone(), &format!("{name}.init"));
         for i in 0..g {
             let partial = emit_partial(b, i as i64 + 1);
-            acc = cp(b, acc, &back, &mut permutes);
+            acc = cp(b, acc, &back);
             acc = acc_add(b, acc, partial);
         }
         acc
-    };
-
-    let summary = DecomposeSummary {
-        einsum: name,
-        group_size: g,
-        partial_einsums: partials,
-        permutes,
-        bidirectional: bidi,
-        unrolled: options.unroll,
-        chunk: 1,
-        unroll_fallback,
-        bidirectional_fallback,
-        chunk_fallback,
-    };
-    (result, summary)
+    }
 }
 
 #[cfg(test)]
@@ -930,16 +722,17 @@ mod tests {
 
     use super::*;
     use crate::pattern::patterns_of;
-    use crate::{RingDirection, StrategySpec};
+    use crate::{PatternStrategy, RingDirection, StrategySpec};
 
     fn f32s(dims: &[usize]) -> Shape {
         Shape::new(DType::F32, dims.to_vec())
     }
 
-    /// Decomposes every pattern of `m` with `opts`.
-    fn decompose_all(m: &Module, opts: &DecomposeOptions) -> (Module, Vec<DecomposeSummary>) {
-        let items: Vec<_> = patterns_of(m).into_iter().map(|p| (p, *opts)).collect();
-        let (out, summaries, _) = decompose(m, &items);
+    /// Decomposes every pattern of `m` under `knobs`.
+    fn decompose_all(m: &Module, knobs: &PatternStrategy) -> (Module, Vec<DecomposeSummary>) {
+        let plans: Vec<_> =
+            patterns_of(m).iter().map(|p| LoopPlan::new(m, p, knobs, knobs.ring)).collect();
+        let (out, summaries, _) = decompose(m, &plans);
         (out, summaries)
     }
 
@@ -964,7 +757,7 @@ mod tests {
     #[test]
     fn ag_unidirectional_structure() {
         let m = ag_module(4);
-        let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
+        let opts = PatternStrategy { ring: RingDirection::Unidirectional, ..Default::default() };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         assert_eq!(summaries.len(), 1);
@@ -986,7 +779,7 @@ mod tests {
     #[test]
     fn ag_bidirectional_structure() {
         let m = ag_module(4);
-        let opts = DecomposeOptions { bidirectional: true, ..Default::default() };
+        let opts = PatternStrategy { ring: RingDirection::Bidirectional, ..Default::default() };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1001,7 +794,11 @@ mod tests {
     fn rs_single_chain_structure() {
         let m = rs_module(4);
         let opts =
-            DecomposeOptions { bidirectional: false, unroll: false, ..Default::default() };
+            PatternStrategy {
+                ring: RingDirection::Unidirectional,
+                unroll: false,
+                ..Default::default()
+            };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1017,7 +814,11 @@ mod tests {
     fn rs_two_chain_structure() {
         let m = rs_module(4);
         let opts =
-            DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
+            PatternStrategy {
+                ring: RingDirection::Unidirectional,
+                unroll: true,
+                ..Default::default()
+            };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1030,7 +831,7 @@ mod tests {
     #[test]
     fn odd_group_falls_back_to_unidirectional() {
         let m = ag_module(3);
-        let opts = DecomposeOptions { bidirectional: true, ..Default::default() };
+        let opts = PatternStrategy { ring: RingDirection::Bidirectional, ..Default::default() };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1055,7 +856,11 @@ mod tests {
         let rs = b.reduce_scatter(e, 1, ReplicaGroups::full(3), "rs");
         let m = b.build(vec![rs]);
         let opts =
-            DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
+            PatternStrategy {
+                ring: RingDirection::Unidirectional,
+                unroll: true,
+                ..Default::default()
+            };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1074,7 +879,11 @@ mod tests {
     #[test]
     fn ag_chunked_structure() {
         let m = ag_module(4);
-        let opts = DecomposeOptions { bidirectional: false, chunk: 2, ..Default::default() };
+        let opts = PatternStrategy {
+            ring: RingDirection::Unidirectional,
+            chunk: 2,
+            ..Default::default()
+        };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1090,8 +899,8 @@ mod tests {
     #[test]
     fn ag_chunked_pad_max_variant_verifies() {
         let m = ag_module(8);
-        let opts = DecomposeOptions {
-            bidirectional: false,
+        let opts = PatternStrategy {
+            ring: RingDirection::Unidirectional,
             chunk: 4,
             pad_max_concat: true,
             ..Default::default()
@@ -1107,7 +916,11 @@ mod tests {
     fn infeasible_chunk_falls_back_with_reason() {
         let m = ag_module(4);
         // 3 does not divide 4.
-        let opts = DecomposeOptions { bidirectional: false, chunk: 3, ..Default::default() };
+        let opts = PatternStrategy {
+            ring: RingDirection::Unidirectional,
+            chunk: 3,
+            ..Default::default()
+        };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1116,12 +929,20 @@ mod tests {
         assert_eq!(s.partial_einsums, 4, "fallback must emit the plain loop");
 
         // chunk == g leaves nothing to overlap.
-        let opts = DecomposeOptions { bidirectional: false, chunk: 4, ..Default::default() };
+        let opts = PatternStrategy {
+            ring: RingDirection::Unidirectional,
+            chunk: 4,
+            ..Default::default()
+        };
         let (_, summaries) = decompose_all(&m, &opts);
         assert!(summaries[0].chunk_fallback.as_deref().is_some_and(|r| r.contains("no loop")));
 
         // The bidirectional loop ignores chunking.
-        let opts = DecomposeOptions { bidirectional: true, chunk: 2, ..Default::default() };
+        let opts = PatternStrategy {
+            ring: RingDirection::Bidirectional,
+            chunk: 2,
+            ..Default::default()
+        };
         let (_, summaries) = decompose_all(&m, &opts);
         assert!(summaries[0].chunk_fallback.as_deref().is_some_and(|r| r.contains("bidirectional")));
         assert_eq!(summaries[0].chunk, 1);
@@ -1130,7 +951,11 @@ mod tests {
     #[test]
     fn rs_chunk_request_records_reason() {
         let m = rs_module(4);
-        let opts = DecomposeOptions { bidirectional: false, chunk: 2, ..Default::default() };
+        let opts = PatternStrategy {
+            ring: RingDirection::Unidirectional,
+            chunk: 2,
+            ..Default::default()
+        };
         let (out, summaries) = decompose_all(&m, &opts);
         out.verify().unwrap();
         let s = &summaries[0];
@@ -1141,8 +966,8 @@ mod tests {
     #[test]
     fn pad_max_concat_variant_verifies() {
         let m = ag_module(4);
-        let opts = DecomposeOptions {
-            bidirectional: true,
+        let opts = PatternStrategy {
+            ring: RingDirection::Bidirectional,
             pad_max_concat: true,
             ..Default::default()
         };
@@ -1188,9 +1013,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_steps_share_one_pair_list() {
+    fn ring_permutes_share_one_pair_list() {
         let m = ag_module(4);
-        let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
+        let opts = PatternStrategy { ring: RingDirection::Unidirectional, ..Default::default() };
         let (out, _) = decompose_all(&m, &opts);
         let lists: Vec<&Arc<[(u32, u32)]>> = out
             .iter()
@@ -1210,13 +1035,10 @@ mod tests {
     /// selection is the pipeline's: gated, one pattern per einsum.
     fn assert_numbering_matches_cse(module: &Module, machine: &Machine, strategy: &StrategySpec) {
         let table = overlap_sim::CostTable::new(module, machine).expect("cost table");
-        let selected: Vec<_> = crate::CostModel::with_strategy(machine, strategy)
+        let selected: Vec<LoopPlan> = crate::CostModel::new(machine, strategy)
             .select(&table, module, &patterns_of(module), true)
-            .iter()
-            .map(|d| {
-                let requested = strategy.options_for(&d.pattern.kind);
-                (d.pattern, DecomposeOptions { bidirectional: d.bidirectional, ..requested })
-            })
+            .into_iter()
+            .map(|(_, plan)| plan)
             .collect();
         let plain = decompose_impl(module, &selected, false).0;
         let (merged, cse) = eliminate_common_subexpressions(&plain, &ModuleAnalysis::of(&plain));

@@ -25,7 +25,7 @@ use overlap_hlo::WireFormat;
 use overlap_json::{json_enum, json_record, FromJson, Json, ToJson};
 
 use crate::costgate::GateDecision;
-use crate::decompose::{DecomposeOptions, DecomposeSummary};
+use crate::decompose::DecomposeSummary;
 use crate::fusion::FusionOptions;
 use crate::pattern::{AgCase, Pattern, PatternKind};
 use crate::pipeline::{FallbackRecord, OverlapOptions, SchedulerKind};
@@ -94,14 +94,6 @@ json_record!(DecomposeSummary {
 });
 
 json_record!(FallbackRecord { einsum, reason });
-
-json_record!(DecomposeOptions {
-    unroll,
-    bidirectional,
-    pad_max_concat,
-    chunk [absent = 1],
-    wire [absent = WireFormat::Lossless, skip_if = WireFormat::is_lossless],
-});
 
 json_record!(FusionOptions { overlap_aware });
 

@@ -24,9 +24,14 @@
 //!   `AllReduce = ReduceScatter + AllGather` as a pre-pass, exposing
 //!   Megatron-style `Einsum → AllReduce` pairs to the decomposition
 //!   (an extension beyond the paper's evaluated configuration),
+//! * [`LoopPlan`] — one pattern's decomposed loop as data (group size,
+//!   direction, chunk, step and instruction counts, shapes, wire,
+//!   fallback reasons), derived once: the gate prices it and
+//!   [`decompose`] emits it,
 //! * [`CostModel`] — the §5.5 enablement gate
-//!   (`comp_t + comm_t >= max(comp_t, comm_t_ring) + extra_t`) and the
-//!   candidate-selection rule when an einsum has two collectives,
+//!   (`comp_t + comm_t >= max(comp_t, comm_t_ring) + extra_t`), priced on
+//!   each candidate's [`LoopPlan`], and the candidate-selection rule when
+//!   an einsum has two collectives,
 //! * [`OverlapPipeline`] — ties everything together and produces a
 //!   [`Compiled`] module plus the linear instruction order to execute,
 //! * [`ArtifactCache`] — a content-addressed, two-tier (memory + disk)
@@ -67,6 +72,7 @@ mod fusion;
 mod json;
 mod pattern;
 mod pipeline;
+mod plan;
 mod profile;
 mod reassociate;
 mod report;
@@ -75,10 +81,11 @@ mod strategy;
 
 pub use cache::{artifact_key, artifact_key_faulted, ArtifactCache, CacheOutcome, CacheStats};
 pub use costgate::{CostModel, FaultGateAdjust, GateDecision};
-pub use decompose::{decompose, DecomposeOptions, DecomposeSummary};
+pub use decompose::{decompose, DecomposeSummary};
 pub use fusion::{fuse, FusionOptions};
 pub use pattern::{find_patterns, AgCase, Pattern, PatternKind};
 pub use pipeline::{Compiled, FallbackRecord, OverlapOptions, OverlapPipeline, SchedulerKind};
+pub use plan::LoopPlan;
 pub use profile::{PhaseTiming, PhaseTimings};
 pub use reassociate::{split_all_reduces, REASSOC_TAG};
 pub use report::CompileReport;

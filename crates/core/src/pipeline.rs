@@ -5,9 +5,10 @@ use overlap_mesh::{FaultSpec, Machine};
 use overlap_sim::{CostTable, Simulation};
 
 use crate::costgate::{CostModel, FaultGateAdjust, GateDecision};
-use crate::decompose::{decompose, DecomposeOptions, DecomposeSummary};
+use crate::decompose::{decompose, DecomposeSummary};
 use crate::fusion::{fuse, FusionOptions};
-use crate::pattern::find_patterns;
+use crate::pattern::{find_patterns, PatternKind};
+use crate::plan::LoopPlan;
 use crate::profile::PhaseTimings;
 use crate::reassociate::split_all_reduces;
 use crate::schedule::{schedule_bottom_up, schedule_top_down, ScheduleWindow};
@@ -99,14 +100,6 @@ impl OverlapOptions {
             );
         }
         Self::paper_default()
-    }
-
-    /// The decompose options the pipeline will hand the rewrite for one
-    /// pattern kind (the cost gate may still flip `bidirectional` per
-    /// pattern).
-    #[must_use]
-    pub fn decompose_for(&self, kind: &crate::PatternKind) -> DecomposeOptions {
-        self.strategy.options_for(kind)
     }
 
     /// The fusion pass configuration (`None` skips the pass).
@@ -347,8 +340,8 @@ impl OverlapPipeline {
         };
 
         let patterns = timings.time("find_patterns", || find_patterns(module, &analysis));
-        let cost_model = CostModel::with_strategy(machine, &self.options.strategy);
-        let decisions = timings.time("cost_gate", || {
+        let cost_model = CostModel::new(machine, &self.options.strategy);
+        let verdicts = timings.time("cost_gate", || {
             if patterns.is_empty() {
                 return Vec::new();
             }
@@ -366,16 +359,16 @@ impl OverlapPipeline {
         // The ablation mode (gate disabled) decomposes unconditionally,
         // faults or not, so it skips this.
         let mut fallbacks: Vec<FallbackRecord> = Vec::new();
-        let decisions = match self.effective_faults() {
-            Some(spec) if !self.options.disable_cost_gate && !decisions.is_empty() => {
+        let verdicts = match self.effective_faults() {
+            Some(spec) if !self.options.disable_cost_gate && !verdicts.is_empty() => {
                 let adjust = FaultGateAdjust::new(machine, spec).map_err(|e| {
                     HloError::Verification(format!("fault spec does not fit machine: {e}"))
                 })?;
                 timings.time("fault_gate", || {
-                    decisions
+                    verdicts
                         .into_iter()
-                        .map(|d| {
-                            let fd = adjust.adjust(module, &d);
+                        .map(|(d, plan)| {
+                            let fd = adjust.adjust(&plan, &d);
                             if !fd.beneficial {
                                 fallbacks.push(FallbackRecord {
                                     einsum: module.instr(d.pattern.einsum).name().to_string(),
@@ -386,53 +379,36 @@ impl OverlapPipeline {
                                     ),
                                 });
                             }
-                            fd
+                            (fd, plan)
                         })
                         .collect::<Vec<_>>()
                 })
             }
-            _ => decisions,
+            _ => verdicts,
         };
         let gate_on = !self.options.disable_cost_gate;
-        let mut selected: Vec<_> = Vec::new();
-        for d in decisions.iter().filter(|d| !gate_on || d.beneficial) {
-            let requested = self.options.decompose_for(&d.pattern.kind);
-            // Honor the gate's uni-vs-bidi verdict where both rings are
-            // feasible; for odd groups the gate could never price the
-            // bidirectional variant, so pass the requested direction
-            // through and let the decompose pass record why it fell
-            // back (the rewrite is identical either way).
-            let g = match module.instr(d.pattern.collective).op() {
-                overlap_hlo::Op::AllGather { groups, .. }
-                | overlap_hlo::Op::ReduceScatter { groups, .. } => groups.group_size(),
-                _ => 1,
-            };
+        let (decisions, plans): (Vec<GateDecision>, Vec<LoopPlan>) = verdicts.into_iter().unzip();
+        let mut selected: Vec<LoopPlan> = Vec::new();
+        for (d, plan) in decisions.iter().zip(plans) {
+            if gate_on && !d.beneficial {
+                continue;
+            }
             // Error budget: a circulated AllGather shard is encoded once
             // (re-encoding on the wire grid is exact); the ReduceScatter
             // ring re-encodes its traveling accumulator every hop.
-            let encodes = match d.pattern.kind {
-                crate::PatternKind::AllGatherEinsum { .. } => 1,
-                crate::PatternKind::EinsumReduceScatter { .. } => g,
+            let encodes = match plan.pattern.kind {
+                PatternKind::AllGatherEinsum { .. } => 1,
+                PatternKind::EinsumReduceScatter { .. } => plan.group_size,
             };
             let wire = budget_wire(
-                requested.wire,
+                plan.wire,
                 encodes,
                 self.options.error_budget,
-                module.instr(d.pattern.einsum).name(),
+                module.instr(plan.pattern.einsum).name(),
                 &mut fallbacks,
             );
-            let opts = DecomposeOptions {
-                bidirectional: if g.is_multiple_of(2) {
-                    d.bidirectional
-                } else {
-                    requested.bidirectional
-                },
-                wire,
-                ..requested
-            };
-            selected.push((d.pattern, opts));
+            selected.push(LoopPlan { wire, ..plan });
         }
-        let selected = selected;
 
         // `decompose` value-numbers as it builds, so the result is
         // already in CSE normal form, and emits every permute as its async

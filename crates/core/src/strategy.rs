@@ -16,9 +16,7 @@
 use overlap_hlo::WireFormat;
 use overlap_json::{Fingerprint, StableHasher};
 
-use crate::decompose::DecomposeOptions;
 use crate::fusion::FusionOptions;
-use crate::pattern::PatternKind;
 
 /// Which way shards (or accumulators) circulate around the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,8 +71,11 @@ pub struct PatternStrategy {
     /// loop and must divide the group size; infeasible widths fall back
     /// to `1` with the reason recorded in the decompose summary.
     pub chunk: usize,
-    /// Loop unrolling (§5.4.1): drops loop-carried copies; even-group
-    /// ReduceScatter chains split in two.
+    /// Loop unrolling (§5.4.1). It drops the loop-carried aliasing
+    /// copies on every loop and every group size. On a unidirectional
+    /// ReduceScatter ring it also splits the accumulation into two
+    /// interleaved chains; only that two-chain form needs an even group,
+    /// and odd groups keep one chain and record `unroll_fallback`.
     pub unroll: bool,
     /// Ring direction (§5.4.2).
     pub ring: RingDirection,
@@ -102,18 +103,6 @@ impl Default for PatternStrategy {
 }
 
 impl PatternStrategy {
-    /// Lowers to the decompose pass's option set.
-    #[must_use]
-    pub fn decompose_options(&self) -> DecomposeOptions {
-        DecomposeOptions {
-            unroll: self.unroll,
-            bidirectional: self.ring == RingDirection::Bidirectional,
-            pad_max_concat: self.pad_max_concat,
-            chunk: self.chunk,
-            wire: self.wire,
-        }
-    }
-
     fn write_to(&self, h: &mut StableHasher) {
         h.write_usize(self.chunk);
         h.write_bool(self.unroll);
@@ -201,15 +190,6 @@ impl StrategySpec {
             fusion: FusionAggressiveness::OverlapAware,
             partitioning: PartitionHint::Auto,
             window_layers: 1,
-        }
-    }
-
-    /// The decompose options for one pattern kind.
-    #[must_use]
-    pub fn options_for(&self, kind: &PatternKind) -> DecomposeOptions {
-        match kind {
-            PatternKind::AllGatherEinsum { .. } => self.all_gather.decompose_options(),
-            PatternKind::EinsumReduceScatter { .. } => self.reduce_scatter.decompose_options(),
         }
     }
 
@@ -394,17 +374,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_default_lowers_to_the_historical_options() {
+    fn paper_default_is_the_historical_strategy() {
         let s = StrategySpec::paper_default();
-        let want = DecomposeOptions {
-            unroll: true,
-            bidirectional: true,
-            pad_max_concat: false,
+        let want = PatternStrategy {
             chunk: 1,
+            unroll: true,
+            ring: RingDirection::Bidirectional,
+            pad_max_concat: false,
             wire: WireFormat::Lossless,
         };
-        assert_eq!(s.all_gather.decompose_options(), want);
-        assert_eq!(s.reduce_scatter.decompose_options(), want);
+        assert_eq!(s.all_gather, want);
+        assert_eq!(s.reduce_scatter, want);
         assert_eq!(s.fusion_options(), Some(FusionOptions { overlap_aware: true }));
         assert!(s.validate().is_ok());
     }
@@ -413,10 +393,7 @@ mod tests {
     fn default_disables_fusion_like_the_old_option_default() {
         let s = StrategySpec::default();
         assert_eq!(s.fusion_options(), None);
-        assert_eq!(
-            s.all_gather.decompose_options(),
-            StrategySpec::paper_default().all_gather.decompose_options()
-        );
+        assert_eq!(s.all_gather, StrategySpec::paper_default().all_gather);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example mlp_partitioning
 //! ```
 
-use overlap::core::{decompose, find_patterns, DecomposeOptions};
+use overlap::core::{decompose, find_patterns, LoopPlan, PatternStrategy};
 use overlap::hlo::{ModuleAnalysis, Op};
 use overlap::mesh::DeviceMesh;
 use overlap::numerics::{run_spmd, Literal};
@@ -41,9 +41,10 @@ fn main() {
     // gathered); decompose at most one per einsum, as the cost gate would.
     let mut seen = std::collections::HashSet::new();
     patterns.retain(|p| seen.insert(p.einsum));
-    let selected: Vec<_> =
-        patterns.into_iter().map(|p| (p, DecomposeOptions::default())).collect();
-    let (decomposed, summaries, _) = decompose(&fig3, &selected);
+    let knobs = PatternStrategy::default();
+    let plans: Vec<_> =
+        patterns.iter().map(|p| LoopPlan::new(&fig3, p, &knobs, knobs.ring)).collect();
+    let (decomposed, summaries, _) = decompose(&fig3, &plans);
     for s in &summaries {
         println!(
             "  {}: {} partial einsums, {} permutes",

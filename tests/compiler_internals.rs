@@ -99,20 +99,18 @@ fn simulation_is_deterministic() {
 /// partial einsums actually cost in the simulator's model.
 #[test]
 fn gate_comp_d_matches_emitted_partials() {
-    use overlap::core::{decompose, find_patterns, CostModel, DecomposeOptions};
+    use overlap::core::{decompose, find_patterns, CostModel, StrategySpec};
     use overlap::hlo::ModuleAnalysis;
     use overlap::sim::{instruction_cost, CostTable, InstrCost};
 
     let module = cfg().layer_module();
     let machine = cfg().machine();
-    let options = DecomposeOptions::default();
-    let cm = CostModel::new(&machine, options);
+    let cm = CostModel::new(&machine, &StrategySpec::paper_default());
     let patterns = find_patterns(&module, &ModuleAnalysis::of(&module));
     let table = CostTable::new(&module, &machine).expect("cost table");
-    let decisions = cm.select(&table, &module, &patterns, false);
-    for d in decisions.iter().take(4) {
-        let opts = DecomposeOptions { bidirectional: d.bidirectional, ..options };
-        let (out, _, _) = decompose(&module, &[(d.pattern, opts)]);
+    let verdicts = cm.select(&table, &module, &patterns, false);
+    for (d, plan) in verdicts.into_iter().take(4) {
+        let (out, _, _) = decompose(&module, &[plan]);
         let partial_sum: f64 = out
             .iter()
             .filter(|(_, ins)| ins.tag() == Some("lce.partial_einsum"))

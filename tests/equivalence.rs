@@ -9,7 +9,9 @@
 //! produce the same per-device outputs as the original under the SPMD
 //! interpreter.
 
-use overlap::core::{decompose, find_patterns, fuse, DecomposeOptions, FusionOptions};
+use overlap::core::{
+    decompose, find_patterns, fuse, FusionOptions, LoopPlan, PatternStrategy, RingDirection,
+};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh};
 use overlap::numerics::{run_spmd, Literal};
@@ -61,19 +63,19 @@ fn assert_equivalent(original: &Module, transformed: &Module, tol: f64) {
     }
 }
 
-fn all_option_combos() -> Vec<DecomposeOptions> {
+fn all_option_combos() -> Vec<PatternStrategy> {
     let mut v = Vec::new();
     for unroll in [false, true] {
-        for bidirectional in [false, true] {
+        for ring in [RingDirection::Unidirectional, RingDirection::Bidirectional] {
             for pad_max_concat in [false, true] {
                 // Chunked windows only engage on the unidirectional
                 // all-gather path; infeasible widths fall back to 1, so
                 // every combination stays numerically checkable.
                 for chunk in [1, 2] {
                     // Exact-equivalence suite: wire stays lossless.
-                    v.push(DecomposeOptions {
+                    v.push(PatternStrategy {
                         unroll,
-                        bidirectional,
+                        ring,
                         pad_max_concat,
                         chunk,
                         ..Default::default()
@@ -92,9 +94,10 @@ fn check_all_variants(m: &Module) {
     // guarantees this); keep the first candidate.
     let mut seen = std::collections::HashSet::new();
     patterns.retain(|p| seen.insert(p.einsum));
-    for opts in all_option_combos() {
-        let selected: Vec<_> = patterns.iter().map(|&p| (p, opts)).collect();
-        let (out, summaries, _) = decompose(m, &selected);
+    for knobs in all_option_combos() {
+        let plans: Vec<_> =
+            patterns.iter().map(|p| LoopPlan::new(m, p, &knobs, knobs.ring)).collect();
+        let (out, summaries, _) = decompose(m, &plans);
         assert_eq!(summaries.len(), patterns.len(), "every pattern decomposed");
         assert_equivalent(m, &out, 1e-9);
     }
@@ -238,11 +241,12 @@ fn fused_module_stays_equivalent() {
     // Fusion is a grouping annotation; it must not change values, with
     // either heuristic.
     let m = rs_module(4, false);
-    let selected: Vec<_> = find_patterns(&m, &ModuleAnalysis::of(&m))
-        .into_iter()
-        .map(|p| (p, DecomposeOptions::default()))
+    let knobs = PatternStrategy::default();
+    let plans: Vec<_> = find_patterns(&m, &ModuleAnalysis::of(&m))
+        .iter()
+        .map(|p| LoopPlan::new(&m, p, &knobs, knobs.ring))
         .collect();
-    let (out, _, analysis) = decompose(&m, &selected);
+    let (out, _, analysis) = decompose(&m, &plans);
     for overlap_aware in [false, true] {
         let fused = fuse(out.clone(), &analysis, &FusionOptions { overlap_aware });
         assert_equivalent(&m, &fused, 1e-9);

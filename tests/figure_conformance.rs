@@ -2,18 +2,20 @@
 //! `{source, destination}` pairs of §5.1 and the shard-transfer schedules
 //! of Figs. 6, 7, 9 and 10, read directly off the emitted modules.
 
-use overlap::core::{decompose, find_patterns, DecomposeOptions, DecomposeSummary};
+use overlap::core::{
+    decompose, find_patterns, DecomposeSummary, LoopPlan, PatternStrategy, RingDirection,
+};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, Op, ReplicaGroups, Shape};
 
 fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
 }
 
-/// Decomposes every pattern of `m` with `opts`.
-fn decompose_all(m: &Module, opts: &DecomposeOptions) -> (Module, Vec<DecomposeSummary>) {
+/// Decomposes every pattern of `m` under `knobs`.
+fn decompose_all(m: &Module, knobs: &PatternStrategy) -> (Module, Vec<DecomposeSummary>) {
     let patterns = find_patterns(m, &ModuleAnalysis::of(m));
-    let selected: Vec<_> = patterns.into_iter().map(|p| (p, *opts)).collect();
-    let (out, summaries, _) = decompose(m, &selected);
+    let plans: Vec<_> = patterns.iter().map(|p| LoopPlan::new(m, p, knobs, knobs.ring)).collect();
+    let (out, summaries, _) = decompose(m, &plans);
     (out, summaries)
 }
 
@@ -49,7 +51,7 @@ fn permute_pair_lists(m: &Module) -> Vec<Vec<(u32, u32)>> {
 #[test]
 fn unidirectional_pairs_match_section_5_1() {
     let n = 4;
-    let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
+    let opts = PatternStrategy { ring: RingDirection::Unidirectional, ..Default::default() };
     let expected = vec![(0, 3), (1, 0), (2, 1), (3, 2)];
 
     let ag = ag_module(n);
@@ -61,7 +63,7 @@ fn unidirectional_pairs_match_section_5_1() {
     }
 
     let rs = rs_module(n);
-    let opts = DecomposeOptions { unroll: false, ..opts };
+    let opts = PatternStrategy { unroll: false, ..opts };
     let (out, _) = decompose_all(&rs, &opts);
     let cps = permute_pair_lists(&out);
     assert_eq!(cps.len(), n, "Fig. 7: N transfers for the ReduceScatter case");
@@ -76,7 +78,7 @@ fn unidirectional_pairs_match_section_5_1() {
 fn bidirectional_ag_matches_fig_9() {
     let n = 4;
     let ag = ag_module(n);
-    let (out, summaries) = decompose_all(&ag, &DecomposeOptions::default());
+    let (out, summaries) = decompose_all(&ag, &PatternStrategy::default());
     assert!(summaries[0].bidirectional);
     let cps = permute_pair_lists(&out);
     let clockwise = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
@@ -95,7 +97,7 @@ fn bidirectional_ag_matches_fig_9() {
 fn bidirectional_rs_matches_fig_10() {
     let n = 4;
     let rs = rs_module(n);
-    let (out, summaries) = decompose_all(&rs, &DecomposeOptions::default());
+    let (out, summaries) = decompose_all(&rs, &PatternStrategy::default());
     assert!(summaries[0].bidirectional);
     let cps = permute_pair_lists(&out);
     let clockwise = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
@@ -110,7 +112,11 @@ fn bidirectional_rs_matches_fig_10() {
 fn unrolled_rs_matches_fig_8() {
     let n = 4;
     let rs = rs_module(n);
-    let opts = DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() };
+    let opts = PatternStrategy {
+        ring: RingDirection::Unidirectional,
+        unroll: true,
+        ..Default::default()
+    };
     let (out, _) = decompose_all(&rs, &opts);
     let cps = permute_pair_lists(&out);
     let two_left = vec![(0u32, 2u32), (1, 3), (2, 0), (3, 1)];
@@ -130,7 +136,7 @@ fn unrolled_rs_matches_fig_8() {
 fn ag_case_accounting_matches_fig_4() {
     for n in [2usize, 4, 8] {
         let ag = ag_module(n);
-        let opts = DecomposeOptions { bidirectional: false, ..Default::default() };
+        let opts = PatternStrategy { ring: RingDirection::Unidirectional, ..Default::default() };
         let (out, summaries) = decompose_all(&ag, &opts);
         assert_eq!(summaries[0].partial_einsums, n);
         assert_eq!(

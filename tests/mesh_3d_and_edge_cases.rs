@@ -3,7 +3,10 @@
 //! AllGather operand and a ReduceScatter user going through the full
 //! pipeline.
 
-use overlap::core::{decompose, find_patterns, DecomposeOptions, OverlapOptions, OverlapPipeline};
+use overlap::core::{
+    decompose, find_patterns, LoopPlan, OverlapOptions, OverlapPipeline, PatternStrategy,
+    RingDirection,
+};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::{Axis, DeviceMesh, Machine};
 use overlap::numerics::{run_spmd, Literal};
@@ -13,12 +16,12 @@ fn f32s(dims: &[usize]) -> Shape {
     Shape::new(DType::F32, dims.to_vec())
 }
 
-/// Decomposes every pattern of `m` with `opts` (the permutes come out
+/// Decomposes every pattern of `m` under `knobs` (the permutes come out
 /// as async start/done pairs).
-fn decompose_async(m: &Module, opts: DecomposeOptions) -> Module {
+fn decompose_async(m: &Module, knobs: PatternStrategy) -> Module {
     let patterns = find_patterns(m, &ModuleAnalysis::of(m));
-    let selected: Vec<_> = patterns.into_iter().map(|p| (p, opts)).collect();
-    decompose(m, &selected).0
+    let plans: Vec<_> = patterns.iter().map(|p| LoopPlan::new(m, p, &knobs, knobs.ring)).collect();
+    decompose(m, &plans).0
 }
 
 fn assert_equivalent(original: &Module, transformed: &Module) {
@@ -68,9 +71,9 @@ fn three_d_torus_subgroup_rings() {
         assert_eq!(m.shape_of(e).dims(), &[4, 2 * g]);
 
         assert_eq!(find_patterns(&m, &ModuleAnalysis::of(&m)).len(), 1);
-        for bidirectional in [false, true] {
-            let opts = DecomposeOptions { bidirectional, ..Default::default() };
-            assert_equivalent(&m, &decompose_async(&m, opts));
+        for ring in [RingDirection::Unidirectional, RingDirection::Bidirectional] {
+            let knobs = PatternStrategy { ring, ..Default::default() };
+            assert_equivalent(&m, &decompose_async(&m, knobs));
         }
     }
 }
@@ -90,9 +93,13 @@ fn batched_einsum_reduce_scatter() {
     let m = b.build(vec![rs]);
     assert_eq!(find_patterns(&m, &ModuleAnalysis::of(&m)).len(), 1);
     for opts in [
-        DecomposeOptions { bidirectional: false, unroll: false, ..Default::default() },
-        DecomposeOptions { bidirectional: false, unroll: true, ..Default::default() },
-        DecomposeOptions::default(),
+        PatternStrategy {
+            ring: RingDirection::Unidirectional,
+            unroll: false,
+            ..Default::default()
+        },
+        PatternStrategy { ring: RingDirection::Unidirectional, unroll: true, ..Default::default() },
+        PatternStrategy::default(),
     ] {
         assert_equivalent(&m, &decompose_async(&m, opts));
     }
@@ -143,7 +150,7 @@ fn decompose_preserves_unrelated_instructions() {
     let e = b.einsum(x, w, DotDims::matmul(), "e");
     let side = b.neg(x, "side_output");
     let m = b.build(vec![e, side]);
-    let out = decompose_async(&m, DecomposeOptions::default());
+    let out = decompose_async(&m, PatternStrategy::default());
     assert_equivalent(&m, &out);
     assert_eq!(out.outputs().len(), 2);
 }

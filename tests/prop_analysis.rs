@@ -6,10 +6,7 @@
 //! on the exact module decompose-then-CSE produces is a unit test of
 //! `overlap-core`'s decompose pass, which owns the unnumbered reference.)
 
-use overlap::core::{
-    decompose, find_patterns, fuse, split_all_reduces, CostModel, DecomposeOptions,
-    OverlapOptions,
-};
+use overlap::core::{decompose, find_patterns, fuse, split_all_reduces, CostModel, OverlapOptions};
 use overlap::hlo::{Module, ModuleAnalysis};
 use overlap::mesh::{DeviceMesh, Machine};
 use overlap::models::table1_models;
@@ -42,17 +39,11 @@ fn check_pipeline_analyses(module: &Module, machine: &Machine, options: &Overlap
     analysis.mark_verified(module);
     let patterns = find_patterns(module, &analysis);
     let table = CostTable::with_analysis(module, &analysis, machine).expect("cost table");
-    let cost_model = CostModel::with_strategy(machine, &options.strategy);
-    let decisions = cost_model.select(&table, module, &patterns, true);
-    let selected: Vec<_> = decisions
-        .iter()
-        .map(|d| {
-            let opts = DecomposeOptions {
-                bidirectional: d.bidirectional,
-                ..options.decompose_for(&d.pattern.kind)
-            };
-            (d.pattern, opts)
-        })
+    let cost_model = CostModel::new(machine, &options.strategy);
+    let selected: Vec<_> = cost_model
+        .select(&table, module, &patterns, true)
+        .into_iter()
+        .map(|(_, plan)| plan)
         .collect();
 
     // Decompose: the value-numbering builder maintains the tables while

@@ -6,7 +6,7 @@
 //! compute, slower links must never make the predicted communication
 //! cheaper, and the `beneficial` bit must agree with `net_benefit()`.
 
-use overlap::core::{find_patterns, CostModel, DecomposeOptions};
+use overlap::core::{find_patterns, CostModel, StrategySpec};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::mesh::Machine;
 use overlap::sim::CostTable;
@@ -45,14 +45,13 @@ fn check_decisions(
     module: &Module,
     machine: &Machine,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let options = DecomposeOptions::default();
-    let cm = CostModel::new(machine, options);
+    let cm = CostModel::new(machine, &StrategySpec::paper_default());
     let table = CostTable::new(module, machine).expect("cost table");
     let patterns = find_patterns(module, &ModuleAnalysis::of(module));
     prop_assert!(!patterns.is_empty());
 
     for p in &patterns {
-        let d = cm.evaluate(&table, module, p);
+        let (d, _) = cm.evaluate(&table, module, p);
         // All components are times; none may be negative.
         for (name, v) in [
             ("comp_t", d.comp_t),
@@ -82,11 +81,11 @@ fn check_decisions(
     // `select` keeps at most one decision per einsum, and with the gate
     // on, only beneficial ones.
     let gated = cm.select(&table, module, &patterns, true);
-    let mut einsums: Vec<_> = gated.iter().map(|d| d.pattern.einsum).collect();
+    let mut einsums: Vec<_> = gated.iter().map(|(d, _)| d.pattern.einsum).collect();
     einsums.sort_unstable();
     einsums.dedup();
     prop_assert_eq!(einsums.len(), gated.len(), "one decision per einsum");
-    for d in &gated {
+    for (d, _) in &gated {
         prop_assert!(d.beneficial);
     }
     Ok(())

@@ -2,7 +2,7 @@
 //! counts and option combinations, the looped collective-einsum must
 //! compute exactly what the original collective + einsum pair computed.
 
-use overlap::core::{decompose, find_patterns, DecomposeOptions};
+use overlap::core::{decompose, find_patterns, LoopPlan, PatternStrategy, RingDirection};
 use overlap::hlo::{Builder, DType, DotDims, Module, ModuleAnalysis, ReplicaGroups, Shape};
 use overlap::numerics::{run_spmd, Literal};
 use proptest::prelude::*;
@@ -31,11 +31,12 @@ fn inputs_for(module: &Module, seed: u64) -> Vec<Vec<Literal>> {
         .collect()
 }
 
-fn check(module: &Module, opts: &DecomposeOptions, seed: u64) -> Result<(), TestCaseError> {
+fn check(module: &Module, knobs: &PatternStrategy, seed: u64) -> Result<(), TestCaseError> {
     let patterns = find_patterns(module, &ModuleAnalysis::of(module));
     prop_assert!(!patterns.is_empty());
-    let selected: Vec<_> = patterns.into_iter().map(|p| (p, *opts)).collect();
-    let (out, _, _) = decompose(module, &selected);
+    let plans: Vec<_> =
+        patterns.iter().map(|p| LoopPlan::new(module, p, knobs, knobs.ring)).collect();
+    let (out, _, _) = decompose(module, &plans);
     let inputs = inputs_for(module, seed);
     let expect = run_spmd(module, &inputs).expect("original");
     let got = run_spmd(&out, &inputs).expect("decomposed");
@@ -51,16 +52,20 @@ fn check(module: &Module, opts: &DecomposeOptions, seed: u64) -> Result<(), Test
     Ok(())
 }
 
-fn options() -> impl Strategy<Value = DecomposeOptions> {
+fn options() -> impl Strategy<Value = PatternStrategy> {
     // Chunk widths beyond the feasible range exercise the fall-back rule
     // (the decompose pass silently reverts to chunk 1 and records why).
     (any::<bool>(), any::<bool>(), any::<bool>(), 1usize..=4).prop_map(
         // Wire stays lossless here: this suite asserts *exact*
         // equivalence of the decomposition arithmetic. Quantized-wire
         // error bounds are covered by the numerics-crate tests.
-        |(unroll, bidirectional, pad_max_concat, chunk)| DecomposeOptions {
+        |(unroll, bidirectional, pad_max_concat, chunk)| PatternStrategy {
             unroll,
-            bidirectional,
+            ring: if bidirectional {
+                RingDirection::Bidirectional
+            } else {
+                RingDirection::Unidirectional
+            },
             pad_max_concat,
             chunk,
             ..Default::default()

@@ -386,7 +386,6 @@ fn tamper<T: ToJson + FromJson + Debug>(value: &T, path: &[&str], bad: Json) -> 
 
 #[test]
 fn decode_errors_name_their_member() {
-    use overlap_core::DecomposeOptions;
     let request = Request::Compile(Box::new(CompileRequest {
         fault_spec: Some(full_fault_spec()),
         deadline_ms: Some(1500),
@@ -406,7 +405,10 @@ fn decode_errors_name_their_member() {
     };
     let float = || Json::from(1.5);
     let errors = [
-        (tamper(&DecomposeOptions::default(), &["chunk"], float()), vec!["chunk"]),
+        (
+            tamper(&StrategySpec::paper_default(), &["all_gather", "chunk"], float()),
+            vec!["all_gather", "chunk"],
+        ),
         (tamper(&summary, &["chunk"], float()), vec!["chunk"]),
         (
             tamper(&StrategySpec::paper_default(), &["window_layers"], float()),
