@@ -21,12 +21,13 @@
 //! JSON, which stays byte-identical across identically-seeded runs.
 
 use overlap_bench::{
-    artifact_cache, par_map, report_cache, run_baseline, run_overlapped, strategy_grid, write_json,
+    artifact_cache, par_map, report_cache, run_baseline, run_overlapped, smoke_config,
+    strategy_grid, write_json, SEED,
 };
 use overlap_core::OverlapOptions;
 use overlap_json::{Json, ToJson};
 use overlap_mesh::FaultSpec;
-use overlap_models::{table1_models, Arch, ModelConfig, PartitionStrategy};
+use overlap_models::{table1_models, ModelConfig};
 
 /// One scored candidate on one configuration.
 struct Entry {
@@ -73,21 +74,6 @@ impl ToJson for Board {
             .with("winner_strategy", self.winner().options.strategy.to_json())
             .with("winner_scheduler", self.winner().options.scheduler.to_json())
             .with("leaderboard", Json::from(rows))
-    }
-}
-
-fn smoke_config() -> ModelConfig {
-    ModelConfig {
-        name: "Smoke_16".into(),
-        params: 1e9,
-        layers: 4,
-        model_dim: 2048,
-        ff_dim: 8192,
-        batch: 256,
-        seq_len: 64,
-        chips: 16,
-        arch: Arch::Decoder,
-        strategy: PartitionStrategy::TwoD,
     }
 }
 
@@ -144,13 +130,9 @@ fn print_board(b: &Board) {
 
 fn main() {
     let smoke = std::env::var("OVERLAP_AUTOTUNE_SMOKE").is_ok_and(|v| v == "1");
-    let seed: u64 = std::env::var("OVERLAP_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
     let (options, pruned, total) = strategy_grid();
     println!(
-        "overlap-autotune: {} candidates kept, {pruned} of {total} pruned statically (seed {seed})",
+        "overlap-autotune: {} candidates kept, {pruned} of {total} pruned statically (seed {SEED})",
         options.len()
     );
 
@@ -181,7 +163,7 @@ fn main() {
         .iter()
         .find(|m| m.name == "GLaM_1T")
         .unwrap_or(&models[0]);
-    let spec = FaultSpec::seeded(seed).with_straggler(0, 1.6).with_jitter(2e-4);
+    let spec = FaultSpec::seeded(SEED).with_straggler(0, 1.6).with_jitter(2e-4);
     let board = tune(faulted_cfg, Some(&spec), &options);
     print_board(&board);
     boards.push(board);

@@ -1,10 +1,12 @@
-//! Shared experiment machinery for the figure/table binaries.
+//! Shared experiment machinery for the paper's figures and tables.
 //!
-//! Every binary follows the same recipe: build each model's one-layer step
+//! Every figure follows the same recipe: build each model's one-layer step
 //! module ([`overlap_models`]), simulate it under the baseline order and
-//! under the overlap pipeline, scale by the layer count, and print the
-//! paper's series. Results are also emitted as JSON records so
-//! EXPERIMENTS.md can cite exact numbers.
+//! under the overlap pipeline, scale by the layer count, and record the
+//! paper's series as JSON. [`figures::REGISTRY`] holds one entry per
+//! figure (its sweep and its markdown renderer); the `fig` binary runs
+//! them into `results/<name>.json` and EXPERIMENTS.md carries the
+//! rendered tables.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -17,8 +19,34 @@ use overlap_core::{
 };
 use overlap_json::{json_record, ToJson};
 use overlap_mesh::{FaultSpec, Machine};
-use overlap_models::ModelConfig;
+use overlap_models::{Arch, ModelConfig, PartitionStrategy};
 use overlap_sim::{Report, Simulation};
+
+pub mod figures;
+
+/// The fault-spec seed every seeded sweep uses (`fig_faults`,
+/// `fig_quant`, `fig_tail`, `overlap-autotune`); the committed JSON
+/// records it as `"seed": 7`.
+pub const SEED: u64 = 7;
+
+/// The 16-chip short-ring configuration (4x4 mesh) the seeded sweeps
+/// swap in for Table 1 in smoke mode, and the autotuner's short-ring
+/// data point.
+#[must_use]
+pub fn smoke_config() -> ModelConfig {
+    ModelConfig {
+        name: "Smoke_16".into(),
+        params: 1e9,
+        layers: 4,
+        model_dim: 2048,
+        ff_dim: 8192,
+        batch: 256,
+        seq_len: 64,
+        chips: 16,
+        arch: Arch::Decoder,
+        strategy: PartitionStrategy::TwoD,
+    }
+}
 
 /// Simulated per-step statistics for one configuration.
 #[derive(Debug, Clone)]
@@ -108,8 +136,8 @@ pub fn report_cache(cache: &ArtifactCache) {
 }
 
 /// Unwraps a result or exits(1) with `cannot <what>: <error>` on
-/// stderr. The figure/table binaries report bad inputs and simulator
-/// failures as user-facing errors instead of panicking.
+/// stderr. The binaries report bad inputs, simulator failures and a
+/// failed figure as user-facing errors instead of panicking.
 pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("cannot {what}: {e}");
@@ -315,17 +343,6 @@ pub fn run_comparisons(cfgs: &[ModelConfig], cache: &ArtifactCache) -> Vec<Compa
     par_map(cfgs, |cfg| run_comparison(cfg, cache))
 }
 
-/// Renders a unit-interval value as a fixed-width ASCII bar.
-#[must_use]
-pub fn bar(fraction: f64, width: usize) -> String {
-    let n = ((fraction.clamp(0.0, 1.2) * width as f64) / 1.2).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < n { '#' } else { ' ' });
-    }
-    s
-}
-
 /// Writes a JSON record for EXPERIMENTS.md under `results/<name>.json`.
 ///
 /// Failures to write are reported on stderr but do not abort the run.
@@ -344,14 +361,6 @@ pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bar_is_monotone_and_bounded() {
-        assert_eq!(bar(0.0, 10).trim(), "");
-        let half = bar(0.6, 12);
-        assert_eq!(half.len(), 12);
-        assert!(bar(1.2, 12).chars().filter(|&c| c == '#').count() == 12);
-    }
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -378,18 +387,7 @@ mod tests {
         // (results/fig_autotune.json, config "Smoke_16"): the tuned
         // chunked unidirectional strategy must out-simulate the paper
         // default here, and must leave the Table-1 machines untouched.
-        let cfg = overlap_models::ModelConfig {
-            name: "Smoke_16".into(),
-            params: 1e9,
-            layers: 4,
-            model_dim: 2048,
-            ff_dim: 8192,
-            batch: 256,
-            seq_len: 64,
-            chips: 16,
-            arch: overlap_models::Arch::Decoder,
-            strategy: overlap_models::PartitionStrategy::TwoD,
-        };
+        let cfg = smoke_config();
         let tuned_options = OverlapOptions::autotuned(&cfg.name, &cfg.machine());
         assert_ne!(tuned_options, OverlapOptions::paper_default());
         let cache = ArtifactCache::disabled();

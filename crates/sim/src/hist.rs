@@ -36,11 +36,13 @@ pub fn quantile_rank(q: f64, total: u64) -> u64 {
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
-    /// Median, milliseconds (bucket upper bound).
+    /// Median, milliseconds (bucket upper bound, clamped to `max_ms`).
     pub p50_ms: f64,
-    /// 90th percentile, milliseconds.
+    /// 90th percentile, milliseconds (bucket upper bound, clamped to
+    /// `max_ms`).
     pub p90_ms: f64,
-    /// 99th percentile, milliseconds.
+    /// 99th percentile, milliseconds (bucket upper bound, clamped to
+    /// `max_ms`, so it never reads above the largest sample).
     pub p99_ms: f64,
     /// Largest sample seen, milliseconds (exact).
     pub max_ms: f64,
@@ -106,7 +108,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) as the matching bucket's upper
-    /// bound, 0 when empty. Overstates by at most one bucket width.
+    /// bound clamped to the exact max, 0 when empty. Overstates by at
+    /// most one bucket width and never exceeds [`Histogram::max_ms`].
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         let total = self.count();
@@ -118,7 +121,7 @@ impl Histogram {
         for (i, c) in self.counts.iter().enumerate() {
             seen += c.load(Ordering::Relaxed);
             if seen >= rank {
-                return Self::upper_ms(i);
+                return Self::upper_ms(i).min(self.max_ms());
             }
         }
         Self::upper_ms(BUCKETS - 1)
@@ -272,6 +275,21 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert!(h.quantile(0.5) <= 0.011);
         assert!(h.quantile(1.0) > 1e3);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_max() {
+        // Every sample lands in one bucket whose upper bound sits above
+        // them all: the quantiles must clamp to the exact max.
+        let h = Histogram::new();
+        let samples = [2.2, 2.3, 2.4, 2.5];
+        for ms in samples {
+            h.record(ms);
+        }
+        assert_eq!(h.bucket_counts().iter().filter(|&&c| c > 0).count(), 1);
+        let s = h.summary();
+        assert!(s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms, "{s:?}");
+        assert_eq!(s.p99_ms, 2.5);
     }
 
     #[test]
