@@ -14,6 +14,7 @@
 //! cargo run --release -p overlap-bench --bin fig -- --all
 //! ```
 
+mod autotune;
 mod faults;
 mod gate_accuracy;
 mod paper;
@@ -27,9 +28,10 @@ use overlap_json::Json;
 
 /// What a figure's sweep runs against.
 pub struct SweepConfig<'a> {
-    /// Swap the seeded sweeps' (`fig_faults`, `fig_quant`, `fig_tail`)
-    /// Table-1 model list for [`crate::smoke_config`]; their JSON records
-    /// the mode as `"smoke"`. The other figures ignore it.
+    /// Swap the seeded sweeps' (`fig_faults`, `fig_quant`, `fig_tail`,
+    /// `fig_autotune`) Table-1 model list for [`crate::smoke_config`];
+    /// the first three record the mode in their JSON as `"smoke"`. The
+    /// other figures ignore it.
     pub smoke: bool,
     /// The cache every compile of the sweep goes through.
     pub cache: &'a ArtifactCache,
@@ -53,7 +55,7 @@ pub struct Figure {
 }
 
 /// Every figure, in the order `fig --all` runs them.
-pub static REGISTRY: [Figure; 14] = [
+pub static REGISTRY: [Figure; 15] = [
     fast("fig1", paper::fig1, paper::fig1_table),
     fast("fig11", paper::fig11, paper::fig11_table),
     fast("fig12", paper::fig12, paper::fig12_table),
@@ -67,6 +69,7 @@ pub static REGISTRY: [Figure; 14] = [
     fast("gate_accuracy", gate_accuracy::run, gate_accuracy::table),
     fast("fig_faults", faults::run, faults::table),
     fast("fig_quant", quant::run, quant::table),
+    fast("fig_autotune", autotune::run, autotune::table),
     // ≈2 min in a debug build; `scripts/ci.sh` regenerates it in release.
     Figure { name: "fig_tail", fast: false, run: tail::run, table: tail::table },
 ];

@@ -75,8 +75,8 @@ impl OverlapOptions {
         OverlapOptions { strategy, ..Self::paper_default() }
     }
 
-    /// The best strategy found by the offline autotuner
-    /// (`overlap-autotune`, leaderboards in `results/fig_autotune.json`)
+    /// The best strategy found by the offline autotuner (the
+    /// `fig_autotune` sweep, leaderboards in `results/fig_autotune.json`)
     /// for this model/machine pair.
     ///
     /// On short-ring meshes (every axis at most 4 devices) the sweep

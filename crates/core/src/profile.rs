@@ -1,10 +1,9 @@
 //! Pass-level wall-time profiling for the compilation pipeline.
 //!
 //! Every [`OverlapPipeline::run`](crate::OverlapPipeline::run) records how
-//! long each pass took into a [`PhaseTimings`]; the benchmark harness
-//! aggregates these into the `compile_throughput` section of
-//! `results/BENCH_sim.json` so compile-time regressions are visible next
-//! to the simulated-performance numbers.
+//! long each pass took into a [`PhaseTimings`]; the benchmark (`ledger/`)
+//! reports them as its `core.pass.*_ms` per-layer metrics, so a
+//! compile-time regression names its pass.
 
 /// One timed pipeline pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,17 +60,6 @@ impl PhaseTimings {
     pub fn total_seconds(&self) -> f64 {
         self.phases.iter().map(|p| p.seconds).sum()
     }
-
-    /// Merges another run's phases into this one, summing matching phase
-    /// names and appending new ones (used to aggregate repetitions).
-    pub fn accumulate(&mut self, other: &PhaseTimings) {
-        for p in &other.phases {
-            match self.phases.iter_mut().find(|q| q.phase == p.phase) {
-                Some(q) => q.seconds += p.seconds,
-                None => self.phases.push(p.clone()),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -91,18 +79,5 @@ mod tests {
         assert!(t.seconds_of("a") >= 0.25);
         assert!(t.total_seconds() >= 1.75);
         assert_eq!(t.seconds_of("missing"), 0.0);
-    }
-
-    #[test]
-    fn accumulate_merges_by_phase() {
-        let mut a = PhaseTimings::new();
-        a.record("x", 1.0);
-        let mut b = PhaseTimings::new();
-        b.record("x", 2.0);
-        b.record("y", 3.0);
-        a.accumulate(&b);
-        assert_eq!(a.seconds_of("x"), 3.0);
-        assert_eq!(a.seconds_of("y"), 3.0);
-        assert_eq!(a.phases().len(), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! First-class decomposition strategies (ROADMAP item 3).
+//! First-class decomposition strategies.
 //!
 //! The paper applies one fixed strategy everywhere: loop decomposition
 //! with unroll degree 2, bidirectional rings, plain concatenation,
@@ -6,7 +6,7 @@
 //! hard-coded knobs into a searchable, serializable, fingerprint-hashed
 //! configuration — per-pattern chunk width, unrolling, ring direction,
 //! pad-vs-concat, fusion aggressiveness, and a 1D/2D partitioning hint —
-//! so the `overlap-autotune` driver can enumerate the space and let the
+//! so the `fig_autotune` sweep can enumerate the space and let the
 //! cached simulator pick the winner per model × machine × fault spec.
 //!
 //! [`StrategySpec::paper_default`] lowers bit-exactly to the options the
@@ -437,6 +437,9 @@ mod tests {
         // banner is derived.
         let base = StrategySpec::paper_default();
         let explicit = base.with_wire(WireFormat::Lossless);
+        // The same value, so the same compile: an explicit lossless wire
+        // is the paper default bit for bit.
+        assert_eq!(explicit, base);
         assert_eq!(explicit.fingerprint(), base.fingerprint());
         assert_eq!(explicit.describe(), base.describe());
         let bf16 = base.with_wire(WireFormat::Bf16);

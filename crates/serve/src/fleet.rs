@@ -30,8 +30,8 @@
 //!   compile to its owner, fail over along the ring when the owner is
 //!   down or draining, retry sheds with backoff.
 //! * [`FleetHarness`] — N real servers on ephemeral ports inside one
-//!   process, for tests and perfgate; `ci.sh` runs the same topology
-//!   as separate `overlapd --fleet` processes and SIGKILLs one.
+//!   process, for tests; `ci.sh` runs the same topology as separate
+//!   `overlapd --fleet` processes and SIGKILLs one.
 //!
 //! The failure matrix, in short: a *shed* retries the same node after
 //! a backoff; a *draining* or *unreachable* node fails over to the
@@ -933,8 +933,8 @@ pub struct FleetNode {
     thread: Option<JoinHandle<std::io::Result<()>>>,
 }
 
-/// N real servers on ephemeral ports inside one process — the test and
-/// perfgate topology. `ci.sh` exercises the same layer as separate
+/// N real servers on ephemeral ports inside one process — the test
+/// topology. `ci.sh` exercises the same layer as separate
 /// `overlapd --fleet` processes (where a kill really is SIGKILL).
 pub struct FleetHarness {
     nodes: Vec<FleetNode>,

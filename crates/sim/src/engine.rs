@@ -106,7 +106,8 @@ impl<'a> Simulation<'a> {
 
     /// Draws `draws` *independent* executions and returns the per-draw
     /// makespans in draw order — the distributional terminal behind the
-    /// tail-latency report (`fig_tail`, the perfgate `tail` section).
+    /// tail-latency report (`fig_tail`, and the window law in
+    /// `tests/simulation_laws.rs`).
     ///
     /// Unlike [`repeated`](Self::repeated), stream clocks do **not**
     /// carry across draws: every draw starts from a fresh engine state,

@@ -8,8 +8,7 @@
 # (ledger/) built and tested the way the benchmark builds it and its
 # serve oracle run traced on a seed no change was written against, lint at
 # deny level (including the clippy::perf group, denied workspace-wide via
-# [workspace.lints]), the compile-throughput regression gate, and a
-# serve smoke: a real
+# [workspace.lints]), a serve smoke: a real
 # `overlapd` on an ephemeral port, concurrent loadgen clients verifying
 # byte-identity against direct pipeline runs, then a SIGTERM drain that
 # must leave no torn disk-cache entries, a fleet smoke: four `overlapd`
@@ -21,14 +20,8 @@
 #
 #   sh scripts/ci.sh
 #
-# The perf gate binary records results/BENCH_sim.json for trend tracking
-# and hard-fails if compiling the largest Table-1 model (GPT_1T) got
-# slower than the recorded baseline (results/BENCH_compile_baseline.txt)
-# beyond the noise tolerance. Both files are per-machine wall-clock
-# artifacts and are gitignored. The baseline file is created on the first
-# run; after a deliberate compile-time trade-off, refresh it with
-# OVERLAP_COMPILE_BASELINE_UPDATE=1. Set PERFGATE=0 to skip the gate on
-# machines with wildly unstable clocks.
+# Wall-clock performance is the benchmark's (BENCHMARK.json ->
+# ledger/run.sh): nothing here gates on a timing.
 set -eu
 
 echo "==> cargo build --release"
@@ -99,24 +92,6 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-if [ "${PERFGATE:-1}" = "1" ]; then
-    echo "==> perf + compile-throughput + artifact-cache gate (results/BENCH_sim.json)"
-    cargo run --release -p overlap-bench --bin perfgate
-    # The serve section must show the event loop actually batched
-    # compiles and saw pipelined requests — zero means the new paths
-    # silently stopped firing even if latencies still pass.
-    for counter in batched pipelined; do
-        grep -Eq "\"$counter\": *[1-9]" results/BENCH_sim.json || {
-            echo "FAIL: serve bench recorded $counter=0 in results/BENCH_sim.json"; exit 1;
-        }
-    done
-    # Same for the fleet section: zero peer hits means the cache-peering
-    # path silently stopped firing.
-    grep -Eq '"cluster_peer_hits": *[1-9]' results/BENCH_sim.json || {
-        echo "FAIL: fleet bench recorded cluster_peer_hits=0 in results/BENCH_sim.json"; exit 1;
-    }
-fi
 
 echo "==> artifact-cache disk tier: second run of a driver must be all hits"
 cache_dir=".overlap-cache-ci.$$"
@@ -301,11 +276,11 @@ rm -rf .overlap-fleet-a-cache.$$.* .overlap-fleet-a-port.$$.* .overlap-fleet-a-l
 echo "==> autotune smoke: seeded strategy search, deterministic leaderboard, warm cache"
 tune_cache=".overlap-autotune-ci.$$"
 rm -rf "$tune_cache"
-tune_one=$(OVERLAP_AUTOTUNE_SMOKE=1 OVERLAP_CACHE_DIR="$tune_cache" \
-    cargo run --release -q -p overlap-bench --bin overlap-autotune)
+tune_one=$(OVERLAP_CACHE_DIR="$tune_cache" \
+    cargo run --release -q -p overlap-bench --bin fig -- --smoke fig_autotune)
 cp results/fig_autotune_smoke.json results/fig_autotune_smoke.json.first
-tune_two=$(OVERLAP_AUTOTUNE_SMOKE=1 OVERLAP_CACHE_DIR="$tune_cache" \
-    cargo run --release -q -p overlap-bench --bin overlap-autotune)
+tune_two=$(OVERLAP_CACHE_DIR="$tune_cache" \
+    cargo run --release -q -p overlap-bench --bin fig -- --smoke fig_autotune)
 rm -rf "$tune_cache"
 # The leaderboard JSON must be byte-identical across identically-seeded
 # runs (stdout is not compared — the cache counters legitimately differ

@@ -5,12 +5,13 @@
 //! relied on — a Table-1 layer compiled by the real pipeline, over
 //! {arena, scheduled order} × {table given, built} — and adds the one
 //! law only this level can: `Compiled::simulation` is exactly the
-//! spelled-out request.
+//! spelled-out request. The last law is the cross-layer window's claim
+//! about the tail: a wider scheduling window never has a worse p99.
 
-use overlap::core::{OverlapOptions, OverlapPipeline};
+use overlap::core::{OverlapOptions, OverlapPipeline, StrategySpec};
 use overlap::mesh::FaultSpec;
 use overlap::models::find_model;
-use overlap::sim::{SimError, Simulation};
+use overlap::sim::{SimError, Simulation, TailSummary};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -69,4 +70,32 @@ fn simulation_laws_hold_on_a_table1_model() {
             assert!(draws.iter().all(|&d| d >= pristine.makespan()));
         }
     }
+}
+
+/// A wider scheduling window may only recover tail latency, never add
+/// it. Four stacked Meena_500B layers under a network straggler (a
+/// quarter of the links at half bandwidth, per-hop jitter, DMA-issue
+/// stalls: `fig_tail`'s harshest severity), each window compiled
+/// fault-aware, 17 fault draws through each schedule.
+#[test]
+fn a_wider_window_never_has_a_worse_straggler_p99() {
+    let cfg = find_model("Meena_500B").expect("a Table-1 model");
+    let module = cfg.window_module(4);
+    let machine = cfg.machine();
+    let spec = FaultSpec::seeded(7)
+        .with_derated_link_fraction(machine.mesh(), 0.25, 0.5)
+        .with_jitter(1e-5)
+        .with_dma_stalls(0.02, 2e-4, 3);
+    let p99 = |window: usize| {
+        let options =
+            OverlapOptions::with_strategy(StrategySpec::paper_default().with_window_layers(window));
+        let compiled = OverlapPipeline::new(options)
+            .with_faults(spec.clone())
+            .run(&module, &machine)
+            .expect("windowed compile");
+        let draws = compiled.simulation(&machine).faults(Some(&spec)).tail(17).expect("draws");
+        TailSummary::from_samples(&draws).p99
+    };
+    let (narrow, wide) = (p99(1), p99(2));
+    assert!(wide <= narrow, "window 2 p99 {wide} s is worse than window 1 p99 {narrow} s");
 }
